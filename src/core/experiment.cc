@@ -159,23 +159,12 @@ int max_tors_at_full_throughput(const FullThroughputSearch& search,
   require(search.runs >= 1, "search requires runs >= 1");
 
   // Memoize per ToR count: the probing order below can revisit a count
-  // (min_tors == max_tors probes it as both the floor and the ceiling),
-  // and the optional hooks let callers persist verdicts across
-  // invocations through the result cache.
+  // (min_tors == max_tors probes it as both the floor and the ceiling).
   std::map<int, bool> memo;
   const auto probe = [&](int tors) {
     const auto it = memo.find(tors);
     if (it != memo.end()) return it->second;
-    if (search.probe_load) {
-      if (const std::optional<bool> cached = search.probe_load(tors)) {
-        memo[tors] = *cached;
-        return *cached;
-      }
-    }
-    const bool ok = supports_full_throughput(search, tors, master_seed);
-    memo[tors] = ok;
-    if (search.probe_store) search.probe_store(tors, ok);
-    return ok;
+    return memo[tors] = supports_full_throughput(search, tors, master_seed);
   };
 
   if (!probe(search.min_tors)) {

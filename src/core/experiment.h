@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 
 #include "core/evaluate.h"
 #include "util/stats.h"
@@ -78,20 +77,11 @@ struct FullThroughputSearch {
   double threshold = 0.95;
   int runs = 3;
   EvalOptions options;
-  /// Optional probe memo (search/search_space.h wires these to the result
-  /// cache): before evaluating a ToR count, probe_load may return its
-  /// remembered verdict; after evaluating one, probe_store records it.
-  /// Unset hooks change nothing. Within one invocation each distinct ToR
-  /// count is evaluated at most once regardless (the bounds-probing order
-  /// can revisit a count, e.g. min_tors == max_tors probes it as both
-  /// ends), so hooks only add cross-invocation persistence.
-  std::function<std::optional<bool>(int tors)> probe_load;
-  std::function<void(int tors, bool ok)> probe_store;
 };
 
 /// Binary-searches the largest ToR count in [min_tors, max_tors] whose
-/// every run meets the threshold. Returns min_tors - 1 if even min_tors
-/// fails.
+/// every run meets the threshold, evaluating each distinct ToR count at
+/// most once. Returns min_tors - 1 if even min_tors fails.
 [[nodiscard]] int max_tors_at_full_throughput(const FullThroughputSearch& search,
                                               std::uint64_t master_seed);
 

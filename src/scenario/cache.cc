@@ -442,7 +442,9 @@ void ResultCache::store(std::uint64_t key, const ThroughputResult& result)
     std::ofstream file(temp);
     if (!file) {
       unregister_cleanup_path(cleanup_slot);
-      require(false, "cannot write cache file: " + temp);
+      // An environment failure (disk, permissions, a vanished dir), not a
+      // bad request: a plain Error, which the CLIs map to exit 4.
+      throw Error("cannot write cache file: " + temp);
     }
     file << out.str();
   }

@@ -117,7 +117,8 @@ class ResultCache {
   /// cell re-stores into a clean slot.
   [[nodiscard]] bool load(std::uint64_t key, ThroughputResult* out) const;
 
-  /// Persists a cell result under `key`.
+  /// Persists a cell result under `key`. Raises Error (never
+  /// InvalidArgument) when the cell file cannot be written.
   void store(std::uint64_t key, const ThroughputResult& result) const;
 
   /// Path of the cell file for `key` (exposed for tests and tooling).

@@ -10,10 +10,10 @@
 //     incomplete; it is requeued with exponential backoff, up to
 //     --max-retries re-attempts;
 //   * liveness: every worker owns a heartbeat file
-//     (DIR/heartbeats/shard-I) that the sweep loop touches per completed
-//     cell (sweep.h kHeartbeatEnvVar); a heartbeat older than
-//     --worker-timeout seconds means the worker is wedged — it is
-//     SIGKILLed and its stripe requeued like a crash.
+//     (DIR/heartbeats/shard-I) that the cell executor touches per
+//     computed cell (cell_executor.h kHeartbeatEnvVar); a heartbeat
+//     older than --worker-timeout seconds means the worker is wedged — it
+//     is SIGKILLed and its stripe requeued like a crash.
 //
 // Crash-only recovery falls out of the content-addressed cache: every
 // published cell survives a worker's death, so a retried stripe

@@ -111,11 +111,8 @@ void write_scenario_json(std::ostream& os, const std::string& name,
   os << "\n}\n";
 }
 
-namespace {
-
-// Parses a --shard value of the form "I/N" (0-based stripe I of N) into
-// the options; raises InvalidArgument naming the flag on any malformation.
-void parse_shard_value(const std::string& value, ScenarioOptions* options) {
+void parse_shard_value(const std::string& value, int* shard_index,
+                       int* shard_count) {
   const std::size_t slash = value.find('/');
   bool ok = slash != std::string::npos && slash > 0 &&
             slash + 1 < value.size();
@@ -138,11 +135,27 @@ void parse_shard_value(const std::string& value, ScenarioOptions* options) {
   require(count >= 1, "--shard I/N requires N >= 1, got: " + value);
   require(index >= 0 && index < count,
           "--shard I/N requires 0 <= I < N, got: " + value);
-  options->shard_index = index;
-  options->shard_count = count;
+  *shard_index = index;
+  *shard_count = count;
 }
 
-}  // namespace
+void apply_threads_flag(int threads) {
+  if (threads <= 0) return;
+  // Exported for child processes the run may spawn; the local pool is
+  // sized explicitly below (the env var alone is read only at the pool's
+  // first use, which may already have happened).
+  ::setenv("TOPOBENCH_THREADS", std::to_string(threads).c_str(), 1);
+  if (!set_parallel_slots(threads)) {
+    // The pool serves one size per process: if a parallel region already
+    // ran, honoring the flag is impossible — fail loudly instead of
+    // silently computing at the old width.
+    throw InvalidArgument(
+        "--threads " + std::to_string(threads) +
+        " cannot take effect: the thread pool already started with " +
+        std::to_string(parallel_slots()) +
+        " slots (pass --threads before the first parallel region)");
+  }
+}
 
 ScenarioOptions parse_scenario_options(int argc, const char* const* argv) {
   const Flags flags(argc, argv, {"runs", "eps", "seed", "csv", "full", "smoke",
@@ -167,27 +180,12 @@ ScenarioOptions parse_scenario_options(int argc, const char* const* argv) {
               options.stripe == "range",
           "--stripe expects round-robin or range, got: " + options.stripe);
   if (const std::string shard = flags.get_string("shard", ""); !shard.empty()) {
-    parse_shard_value(shard, &options);
+    parse_shard_value(shard, &options.shard_index, &options.shard_count);
     require(options.shard_count == 1 || !options.cache_dir.empty(),
             "--shard requires --cache-dir: a shard's cells are published "
             "through the shared cache for the coordinator to merge");
   }
-  if (const int threads = flags.get_int("threads", 0); threads > 0) {
-    // Exported for child processes the scenario may spawn; the local pool
-    // is sized explicitly below (the env var alone is read only at the
-    // pool's first use, which may already have happened).
-    ::setenv("TOPOBENCH_THREADS", std::to_string(threads).c_str(), 1);
-    if (!set_parallel_slots(threads)) {
-      // The pool serves one size per process: if a parallel region
-      // already ran, honoring the flag is impossible — fail loudly
-      // instead of silently computing at the old width.
-      throw InvalidArgument(
-          "--threads " + std::to_string(threads) +
-          " cannot take effect: the thread pool already started with " +
-          std::to_string(parallel_slots()) +
-          " slots (pass --threads before the first parallel region)");
-    }
-  }
+  apply_threads_flag(flags.get_int("threads", 0));
   return options;
 }
 

@@ -147,6 +147,18 @@ void write_scenario_json(std::ostream& os, const std::string& name,
 [[nodiscard]] ScenarioOptions parse_scenario_options(int argc,
                                                      const char* const* argv);
 
+/// Parses a --shard value "I/N" (0-based stripe I of N) into
+/// `*shard_index` and `*shard_count`; raises InvalidArgument naming the
+/// flag on any malformation. Shared by every CLI verb that shards.
+void parse_shard_value(const std::string& value, int* shard_index,
+                       int* shard_count);
+
+/// Applies --threads N: sizes the shared thread pool and exports
+/// TOPOBENCH_THREADS=N for child processes. N <= 0 (flag absent) does
+/// nothing. Raises InvalidArgument when a parallel region already sized
+/// the pool differently. Shared by every CLI verb that takes --threads.
+void apply_threads_flag(int threads);
+
 /// Runs a scenario by name against `stream`, writing options.out_path JSON
 /// if requested. Returns 0 on success, 2 for an unknown/ambiguous name.
 int run_scenario(const std::string& name, const ScenarioOptions& options,

@@ -134,6 +134,12 @@ inline const std::string kClassAxisPrefix = "class_failure_fraction:";
 /// parameters.
 [[nodiscard]] bool is_eval_axis(const std::string& param);
 
+/// The evaluation options `spec` fixes, at FPTAS accuracy `epsilon`: the
+/// base every sweep and search cell starts from before overrides and
+/// axis binding.
+[[nodiscard]] EvalOptions eval_options(const ScenarioSpec& spec,
+                                       double epsilon);
+
 }  // namespace topo::scenario
 
 #endif  // TOPODESIGN_SCENARIO_SPEC_H

@@ -1,10 +1,7 @@
 #include "scenario/sweep.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <mutex>
@@ -15,7 +12,6 @@
 #include "scenario/topo_registry.h"
 #include "traffic/workload.h"
 #include "util/error.h"
-#include "util/fault.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -86,61 +82,7 @@ std::vector<std::shared_ptr<const ScenarioSpec>>& spec_registry() {
   return *specs;
 }
 
-// Progress heartbeat for supervised shard workers (kHeartbeatEnvVar):
-// rewrites the file with the number of cells completed so far. The
-// payload is diagnostic; supervision reads only the mtime. Concurrent
-// beats from pool threads interleave harmlessly — every write refreshes
-// the mtime, which is all that matters.
-class Heartbeat {
- public:
-  Heartbeat() {
-    const char* path = std::getenv(kHeartbeatEnvVar);
-    if (path != nullptr && path[0] != '\0') path_ = path;
-  }
-
-  void beat() const {
-    if (path_.empty()) return;
-    std::ofstream out(path_, std::ios::trunc);
-    out << cells_done_.load() << "\n";
-  }
-
-  void cell_done() {
-    cells_done_.fetch_add(1);
-    beat();
-  }
-
- private:
-  std::string path_;
-  mutable std::atomic<int> cells_done_{0};
-};
-
 }  // namespace
-
-bool cell_in_shard(int cell_index, int shard_index, int shard_count) {
-  // Round-robin striping: cheap, independent of the grid shape, and an
-  // exact partition for any (cells, shard_count) pair. Striding by cell
-  // rather than by point also balances shards when a single point's runs
-  // dominate the grid.
-  return cell_index % shard_count == shard_index;
-}
-
-bool range_in_shard(int rank, int num_cells, int shard_index,
-                    int shard_count) {
-  // Balanced contiguous blocks over whatever ranking the caller chose:
-  // shard i owns [floor(i*C/N), floor((i+1)*C/N)). Exact partition for
-  // any (C, N), block sizes differing by at most one.
-  const long long c = num_cells;
-  const long long lo = c * shard_index / shard_count;
-  const long long hi = c * (shard_index + 1) / shard_count;
-  return rank >= lo && rank < hi;
-}
-
-StripeMode stripe_mode_from_name(const std::string& name) {
-  if (name == "round-robin") return StripeMode::kRoundRobin;
-  if (name == "range") return StripeMode::kRange;
-  throw InvalidArgument("unknown stripe mode: " + name +
-                        " (expected round-robin or range)");
-}
 
 bool is_eval_axis(const std::string& param) {
   return param == "link_failure_fraction" ||
@@ -152,6 +94,20 @@ bool is_eval_axis(const std::string& param) {
          param == "hot_fraction" || param == "hot_multiplier" ||
          param == "stride" || param == "load" || param == "fan_in" ||
          param == "cdf" || param == "epsilon" || param == "solver_mode";
+}
+
+EvalOptions eval_options(const ScenarioSpec& spec, double epsilon) {
+  EvalOptions options;
+  options.flow.epsilon = epsilon;
+  options.flow.mode = spec.solver;
+  options.traffic = spec.traffic;
+  options.chunky_fraction = spec.chunky_fraction;
+  options.hot_fraction = spec.hot_fraction;
+  options.hot_multiplier = spec.hot_multiplier;
+  options.stride = spec.stride;
+  options.failure = spec.failure;
+  options.packet_sim = spec.packet_sim;
+  return options;
 }
 
 std::vector<std::vector<double>> SweepRunner::enumerate_points() const {
@@ -195,40 +151,24 @@ SweepResult SweepRunner::run() const {
   // ranges. Messages name the offending key.
   validate_spec(spec);
   const FamilyInfo* family = find_family(spec.topology.family);
-
-  // Liveness signal for supervised workers (kHeartbeatEnvVar): one beat
-  // up front — before the cache preload and any reuse-topology builds,
-  // which can themselves take a while — then one per completed cell.
-  Heartbeat heartbeat;
-  heartbeat.beat();
+  CellExecutor executor(config_.cache_dir);
 
   const std::vector<std::vector<double>> points = enumerate_points();
   const int runs = config_.runs;
   const int num_points = static_cast<int>(points.size());
   const int num_cells = num_points * runs;
-  // This run's stripe of the cell grid. Sharding restricts EVALUATION
-  // only — plans, seeds, and cache keys are shard-agnostic, so every
-  // shard and the coordinator address identical cells. A merge_only run
-  // owns no stripe at all: it reduces what the cache holds and reports
-  // the rest as missing.
-  // Range striping ranks cells RUN-MAJOR — all points of run 0, then run
-  // 1, ... — so each contiguous block spans as few distinct runs as
-  // possible. Reuse-mode sweeps build ONE shared topology per run; under
-  // this ranking each shard builds only the (at most two boundary-run)
-  // topologies its block touches, instead of all of them.
-  const auto in_shard = [&, this](int index) {
-    if (config_.merge_only) return false;
-    if (config_.stripe == StripeMode::kRange) {
-      const int rank = (index % runs) * num_points + index / runs;
-      return range_in_shard(rank, num_cells, config_.shard_index,
-                            config_.shard_count);
-    }
-    return cell_in_shard(index, config_.shard_index, config_.shard_count);
-  };
 
   bool reuse = spec.reuse_topology;
   for (const SweepAxis& axis : spec.axes) {
     if (!is_eval_axis(axis.param)) reuse = false;
+  }
+
+  // Spec-level solver mode, then the CLI override, then (in bind_coord)
+  // any "solver_mode" axis — later binders win.
+  EvalOptions base = eval_options(spec, config_.epsilon);
+  if (!config_.solver_override.empty()) {
+    base.flow.mode = config_.solver_override == "approx" ? SolverMode::kApprox
+                                                         : SolverMode::kExact;
   }
 
   // Seed fan-out (the documented contract): point p draws
@@ -240,27 +180,17 @@ SweepResult SweepRunner::run() const {
   // changes between points and link-failure sweeps degrade
   // prefix-nested failed sets of ONE fixed (topology, workload) pair
   // per run (curves monotone up to FPTAS slack; see core/failure.h).
-  const auto make_plan = [&](int index) {
+  // Plans and keys are shard-agnostic, so every shard and the
+  // coordinator address identical cells.
+  std::vector<CellPlan> plans(static_cast<std::size_t>(num_cells));
+  CellGrid grid(num_points, runs);
+  parallel_for(num_cells, [&](int index) {
+    const std::size_t i = static_cast<std::size_t>(index);
     const int point = index / runs;
-    const int run_index = index % runs;
-    CellPlan plan;
+    const std::uint64_t run_index = static_cast<std::uint64_t>(index % runs);
+    CellPlan& plan = plans[i];
     plan.params = spec.topology.params;
-    plan.options.flow.epsilon = config_.epsilon;
-    // Spec-level solver mode, then the CLI override, then (below) any
-    // "solver_mode" axis — later binders win.
-    plan.options.flow.mode = spec.solver;
-    if (!config_.solver_override.empty()) {
-      plan.options.flow.mode = config_.solver_override == "approx"
-                                   ? SolverMode::kApprox
-                                   : SolverMode::kExact;
-    }
-    plan.options.traffic = spec.traffic;
-    plan.options.chunky_fraction = spec.chunky_fraction;
-    plan.options.hot_fraction = spec.hot_fraction;
-    plan.options.hot_multiplier = spec.hot_multiplier;
-    plan.options.stride = spec.stride;
-    plan.options.failure = spec.failure;
-    plan.options.packet_sim = spec.packet_sim;
+    plan.options = base;
     for (std::size_t a = 0; a < spec.axes.size(); ++a) {
       bind_coord(spec.axes[a].param,
                  points[static_cast<std::size_t>(point)][a], plan.params,
@@ -270,146 +200,72 @@ SweepResult SweepRunner::run() const {
         reuse ? config_.master_seed
               : Rng::derive_seed(config_.master_seed,
                                  static_cast<std::uint64_t>(point));
-    plan.topo_seed =
-        Rng::derive_seed(seed_base, 2 * static_cast<std::uint64_t>(run_index));
-    plan.traffic_seed = Rng::derive_seed(
-        seed_base, 2 * static_cast<std::uint64_t>(run_index) + 1);
-    return plan;
+    plan.topo_seed = Rng::derive_seed(seed_base, 2 * run_index);
+    plan.traffic_seed = Rng::derive_seed(seed_base, 2 * run_index + 1);
+    grid.keys[i] = cell_key(CellIdentity{spec.topology.family, plan.params,
+                                         plan.options, plan.topo_seed,
+                                         plan.traffic_seed, {}});
+  });
+
+  // With reuse, run r's topology is independent of the sweep point: the
+  // first computed cell of run r builds it, and every other cell of the
+  // run shares it — so a run whose cells are all cached or left to other
+  // shards never builds. The targeted-failure ranking is a pure,
+  // seed-independent function of that graph, memoized the same way.
+  struct RunSlot {
+    std::once_flag built;
+    std::unique_ptr<const BuiltTopology> topology;  ///< null: build failed
+    std::once_flag ranked;
+    std::vector<EdgeId> ranking;
   };
-
-  // One flat grid of (point, run) cells; results land in per-cell slots
-  // and are reduced serially below, so cached and fresh cells merge in
-  // the same ordered reduction.
-  std::vector<ThroughputResult> cells(static_cast<std::size_t>(num_cells));
-  std::unique_ptr<ResultCache> cache;
-  std::vector<CellPlan> plans;
-  std::vector<std::uint64_t> keys;
-  std::vector<char> cached;
-  int hits = 0;
-  if (!config_.cache_dir.empty()) {
-    cache = std::make_unique<ResultCache>(config_.cache_dir);
-    plans.resize(static_cast<std::size_t>(num_cells));
-    keys.resize(static_cast<std::size_t>(num_cells));
-    cached.assign(static_cast<std::size_t>(num_cells), 0);
-    // Per-cell loads are independent file reads; run them on the pool so
-    // a large warm sweep is not serialized on its preload. The plans are
-    // kept for the evaluation pass below.
-    parallel_for(num_cells, [&](int index) {
-      const std::size_t i = static_cast<std::size_t>(index);
-      plans[i] = make_plan(index);
-      keys[i] = cell_key(CellIdentity{spec.topology.family, plans[i].params,
-                                      plans[i].options, plans[i].topo_seed,
-                                      plans[i].traffic_seed, {}});
-      if (cache->load(keys[i], &cells[i])) cached[i] = 1;
-    });
-    for (const char hit : cached) hits += hit;
-  }
-
-  // With reuse, run r's topology is independent of the sweep point:
-  // build the `runs` instances once up front (in parallel) and share
-  // them — skipping runs whose every cell came out of the cache.
-  std::vector<std::shared_ptr<const BuiltTopology>> shared(
-      static_cast<std::size_t>(reuse ? runs : 0));
-  if (reuse) {
-    // Run r's topology is needed only if some cell of run r will actually
-    // be evaluated here: not cached, and in this run's stripe.
-    std::vector<char> needed(static_cast<std::size_t>(runs),
-                             cache == nullptr ? 1 : 0);
-    if (cache != nullptr) {
-      for (int index = 0; index < num_cells; ++index) {
-        if (!cached[static_cast<std::size_t>(index)] && in_shard(index)) {
-          needed[static_cast<std::size_t>(index % runs)] = 1;
-        }
-      }
-    }
-    parallel_for(runs, [&](int r) {
-      if (!needed[static_cast<std::size_t>(r)]) return;
-      try {
-        shared[static_cast<std::size_t>(r)] =
-            std::make_shared<const BuiltTopology>(family->build(
-                spec.topology.params,
-                Rng::derive_seed(config_.master_seed,
-                                 2 * static_cast<std::uint64_t>(r))));
-      } catch (const ConstructionFailure&) {
-        // Left null; the cells below record infeasible runs.
-      }
-    });
-  }
-
-  // Memoized targeted-failure rankings for the shared reuse topologies: a
-  // pure, seed-independent function of the graph, so a k-axis sweep
-  // computes it once per run instead of once per cell. call_once keeps
-  // the lazy computation race-free on the pool; whichever worker computes
-  // it, the bytes are identical.
-  std::vector<std::once_flag> ranking_once(
-      static_cast<std::size_t>(reuse ? runs : 0));
-  std::vector<std::vector<EdgeId>> rankings(
-      static_cast<std::size_t>(reuse ? runs : 0));
-
-  parallel_for(num_cells, [&](int index) {
-    if (cache != nullptr && cached[static_cast<std::size_t>(index)]) return;
-    if (!in_shard(index)) return;  // another shard's cell
-    const CellPlan plan = cache != nullptr
-                              ? plans[static_cast<std::size_t>(index)]
-                              : make_plan(index);
+  std::vector<RunSlot> slots(static_cast<std::size_t>(reuse ? runs : 0));
+  const auto compute = [&](int index) -> ThroughputResult {
+    const CellPlan& plan = plans[static_cast<std::size_t>(index)];
     try {
-      if (reuse) {
-        const std::size_t r = static_cast<std::size_t>(index % runs);
-        const auto& topology = shared[r];
-        if (topology != nullptr) {
-          const std::vector<EdgeId>* ranking = nullptr;
-          if (plan.options.failure.targeted.active()) {
-            std::call_once(ranking_once[r], [&] {
-              rankings[r] = targeted_link_ranking(topology->graph);
-            });
-            ranking = &rankings[r];
-          }
-          cells[static_cast<std::size_t>(index)] = evaluate_throughput(
-              *topology, plan.options, plan.traffic_seed, ranking);
-        }
-      } else {
-        const BuiltTopology topology =
-            family->build(plan.params, plan.topo_seed);
-        cells[static_cast<std::size_t>(index)] =
-            evaluate_throughput(topology, plan.options, plan.traffic_seed);
+      if (!reuse) {
+        return evaluate_throughput(family->build(plan.params, plan.topo_seed),
+                                   plan.options, plan.traffic_seed);
       }
+      RunSlot& slot = slots[static_cast<std::size_t>(index % runs)];
+      std::call_once(slot.built, [&] {
+        try {
+          slot.topology = std::make_unique<const BuiltTopology>(
+              family->build(plan.params, plan.topo_seed));
+        } catch (const ConstructionFailure&) {
+          // Left null: every cell of this run records an infeasible run.
+        }
+      });
+      if (slot.topology == nullptr) return {};
+      const std::vector<EdgeId>* ranking = nullptr;
+      if (plan.options.failure.targeted.active()) {
+        std::call_once(slot.ranked, [&] {
+          slot.ranking = targeted_link_ranking(slot.topology->graph);
+        });
+        ranking = &slot.ranking;
+      }
+      return evaluate_throughput(*slot.topology, plan.options,
+                                 plan.traffic_seed, ranking);
     } catch (const ConstructionFailure&) {
       // Infeasible zero run (extreme parameter corners), like
       // run_experiment. Cached too: the outcome is as deterministic as
       // any other cell's.
+      return {};
     }
-    if (cache != nullptr) {
-      cache->store(keys[static_cast<std::size_t>(index)],
-                   cells[static_cast<std::size_t>(index)]);
-    }
-    // Fault point (util/fault.h): under stall_after_cells:M the M-th
-    // completed cell parks every evaluation thread, so the beat below
-    // never lands and the heartbeat goes silent — the supervised-hang
-    // scenario the orchestrator's --worker-timeout reaper must catch.
-    fault::on_cell_evaluated();
-    heartbeat.cell_done();
-  });
-
-  // A cell is available when this run has its result: a cache hit from
-  // any shard's earlier store, or an in-stripe evaluation above.
-  const auto available = [&](int index) {
-    if (cache != nullptr && cached[static_cast<std::size_t>(index)]) {
-      return true;
-    }
-    return in_shard(index);
   };
+  // A merge_only run owns no stripe at all: it reduces what the cache
+  // holds and reports the rest as missing.
+  const CellStripe stripe{config_.shard_index,
+                          config_.merge_only ? 0 : config_.shard_count,
+                          config_.stripe};
+  const CellCounts counts = executor.run(grid, stripe, compute);
 
   SweepResult result;
   for (const SweepAxis& axis : spec.axes) {
     result.axis_names.push_back(axis.param);
   }
-  int skipped = 0;
-  for (int index = 0; index < num_cells; ++index) {
-    if (!available(index)) ++skipped;
-  }
-  result.cache_hits = hits;
-  result.shard_skipped = skipped;
-  result.cache_misses = cache != nullptr ? num_cells - hits - skipped : 0;
+  result.cache_hits = counts.hits;
+  result.cache_misses = config_.cache_dir.empty() ? 0 : counts.computed;
+  result.shard_skipped = counts.unavailable;
   result.points.reserve(points.size());
   for (int p = 0; p < num_points; ++p) {
     // Partial-reduction skip: a sharded run reduces only the points whose
@@ -421,16 +277,16 @@ SweepResult SweepRunner::run() const {
     // partial table.
     bool complete = true;
     for (int r = 0; r < runs; ++r) {
-      const int index = p * runs + r;
-      complete = complete && available(index);
-      if (config_.merge_only && !available(index)) {
-        result.missing.push_back(
-            MissingCell{p, r, points[static_cast<std::size_t>(p)],
-                        keys[static_cast<std::size_t>(index)]});
+      const std::size_t i = static_cast<std::size_t>(p * runs + r);
+      complete = complete && grid.available[i];
+      if (config_.merge_only && !grid.available[i]) {
+        result.missing.push_back(MissingCell{
+            p, r, points[static_cast<std::size_t>(p)], grid.keys[i]});
       }
     }
     if (!complete) continue;
-    const auto begin = cells.begin() + static_cast<std::ptrdiff_t>(p) * runs;
+    const auto begin =
+        grid.results.begin() + static_cast<std::ptrdiff_t>(p) * runs;
     SweepPointResult point;
     point.coords = points[static_cast<std::size_t>(p)];
     point.stats = summarize_runs(std::vector<ThroughputResult>(

@@ -1,16 +1,18 @@
 // SweepRunner: a ScenarioSpec, sharded and reduced.
 //
-// Enumerates the cartesian product of the spec's axes, fans every
-// (sweep-point × run) cell out over the shared thread pool with
-// deterministic seed derivation, and reduces results in (point, run) order
-// — so a sweep's numbers are bit-identical for any thread count, and a
-// single-point sweep matches run_experiment with the derived point seed.
+// Enumerates the cartesian product of the spec's axes, plans every
+// (sweep-point × run) cell with deterministic seed derivation, hands the
+// grid to the CellExecutor (cell_executor.h: cache, stripe, pool), and
+// reduces results in (point, run) order — so a sweep's numbers are
+// bit-identical for any thread count, and a single-point sweep matches
+// run_experiment with the derived point seed.
 #ifndef TOPODESIGN_SCENARIO_SWEEP_H
 #define TOPODESIGN_SCENARIO_SWEEP_H
 
 #include <cstdint>
 
 #include "core/experiment.h"
+#include "scenario/cell_executor.h"
 #include "scenario/scenario.h"
 #include "scenario/spec.h"
 #include "util/table.h"
@@ -51,22 +53,6 @@ struct SweepResult {
   std::vector<MissingCell> missing;
 };
 
-/// How the flat cell grid is partitioned across shards.
-enum class StripeMode {
-  /// Cell i belongs to shard i % shard_count — the historical default;
-  /// balances heterogeneous cell costs across shards.
-  kRoundRobin,
-  /// Contiguous balanced blocks of the RUN-MAJOR cell ranking (all points
-  /// of run 0, then run 1, ...): each shard owns whole runs (up to the
-  /// two boundary runs), so reuse-mode sweeps — which build ONE shared
-  /// topology per run — build each topology on as few shards as possible
-  /// instead of every shard building every run's.
-  kRange,
-};
-
-/// Parses "round-robin" / "range"; raises InvalidArgument otherwise.
-[[nodiscard]] StripeMode stripe_mode_from_name(const std::string& name);
-
 /// Resolved run configuration for a sweep.
 struct SweepRunConfig {
   int runs = 3;
@@ -80,13 +66,13 @@ struct SweepRunConfig {
   std::string cache_dir;
   /// Distributed sharding: evaluate only stripe `shard_index` of
   /// `shard_count` deterministic stripes of the flat (point × run) cell
-  /// grid (cell_in_shard), publishing results through cache_dir (required
-  /// when shard_count > 1 — without it a shard's work would be
-  /// discarded). Striping never enters cell identity or seed fan-out, so
-  /// every shard and the coordinator address identical cells: N shard
-  /// invocations over a shared cache dir followed by an unsharded warm
-  /// run of the same spec reproduce the single-process table byte for
-  /// byte with zero coordinator recomputation.
+  /// grid (cell_executor.h CellStripe), publishing results through
+  /// cache_dir (required when shard_count > 1 — without it a shard's work
+  /// would be discarded). Striping never enters cell identity or seed
+  /// fan-out, so every shard and the coordinator address identical cells:
+  /// N shard invocations over a shared cache dir followed by an unsharded
+  /// warm run of the same spec reproduce the single-process table byte
+  /// for byte with zero coordinator recomputation.
   int shard_index = 0;
   int shard_count = 1;
   /// Stripe shape for sharded runs (ignored when shard_count == 1).
@@ -109,20 +95,6 @@ struct SweepRunConfig {
   /// workers.
   bool merge_only = false;
 };
-
-/// True when flat cell `cell_index` belongs to stripe `shard_index` of
-/// `shard_count` (round-robin by index). For any cell count the stripes
-/// of a given shard_count partition the grid: every cell belongs to
-/// exactly one shard.
-[[nodiscard]] bool cell_in_shard(int cell_index, int shard_index,
-                                 int shard_count);
-
-/// True when rank `rank` of `num_cells` belongs to shard `shard_index`'s
-/// contiguous balanced block [floor(i*C/N), floor((i+1)*C/N)) — the
-/// StripeMode::kRange partition over some deterministic cell ranking.
-/// For any rank order the blocks partition the grid exactly.
-[[nodiscard]] bool range_in_shard(int rank, int num_cells, int shard_index,
-                                  int shard_count);
 
 /// Runs a declarative scenario spec.
 class SweepRunner {
@@ -172,13 +144,6 @@ class SweepRunner {
 /// SweepRunConfig::merge_only.
 SweepResult run_spec_scenario(const ScenarioSpec& spec, ScenarioRun& ctx,
                               bool merge_only = false);
-
-/// Environment variable naming a worker's progress-heartbeat file. When
-/// set, SweepRunner::run touches (rewrites) the file after every cell it
-/// evaluates, and once at sweep start; a supervisor watching the file's
-/// mtime can tell a slow-but-alive worker from a wedged one. Unset: no
-/// heartbeat I/O at all.
-inline constexpr const char* kHeartbeatEnvVar = "TOPOBENCH_HEARTBEAT";
 
 /// Registers `spec` as a named scenario whose run function executes the
 /// sweep with the run context's options and emits sweep_table. The spec

@@ -1,15 +1,15 @@
 #include "search/driver.h"
 
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <memory>
 #include <sstream>
 #include <utility>
 
 #include "scenario/cache.h"
+#include "scenario/cell_executor.h"
+#include "scenario/scenario.h"
 #include "scenario/spec_io.h"
 #include "search/cost_model.h"
 #include "util/error.h"
@@ -41,26 +41,17 @@ class CandidateEvaluator {
                      const SearchDriverOptions& opts)
       : family_(spec.topology.family),
         objective_(spec.search.objective),
-        opts_(opts),
+        runs_(opts.runs),
+        stripe_{opts.shard_index, opts.shard_count, opts.stripe},
         model_(CostWeights{spec.search.port_cost, spec.search.cable_cost,
                            spec.search.switch_cost, spec.search.class_cost,
-                           spec.search.floor_columns}) {
-    options_.flow.epsilon = opts.epsilon;
-    options_.flow.mode = spec.solver;
-    options_.traffic = spec.traffic;
-    options_.chunky_fraction = spec.chunky_fraction;
-    options_.hot_fraction = spec.hot_fraction;
-    options_.hot_multiplier = spec.hot_multiplier;
-    options_.stride = spec.stride;
-    options_.failure = spec.failure;
-    options_.packet_sim = spec.packet_sim;
-    traffic_seeds_.reserve(static_cast<std::size_t>(opts.runs));
-    for (int r = 0; r < opts.runs; ++r) {
+                           spec.search.floor_columns}),
+        options_(scenario::eval_options(spec, opts.epsilon)),
+        executor_(opts.cache_dir) {
+    traffic_seeds_.reserve(static_cast<std::size_t>(runs_));
+    for (int r = 0; r < runs_; ++r) {
       traffic_seeds_.push_back(Rng::derive_seed(
           opts.master_seed, kSearchTrafficSalt + static_cast<std::uint64_t>(r)));
-    }
-    if (!opts.cache_dir.empty()) {
-      cache_ = std::make_unique<scenario::ResultCache>(opts.cache_dir);
     }
   }
 
@@ -72,7 +63,7 @@ class CandidateEvaluator {
   std::vector<Evaluated> evaluate(
       const std::vector<const BuiltTopology*>& batch) {
     const int n = static_cast<int>(batch.size());
-    const int runs = opts_.runs;
+    const int runs = runs_;
     const int num_cells = n * runs;
 
     std::vector<std::string> hashes(static_cast<std::size_t>(n));
@@ -83,11 +74,7 @@ class CandidateEvaluator {
       costs[i] = model_.cost(*batch[i]);
     });
 
-    std::vector<std::uint64_t> keys(static_cast<std::size_t>(num_cells));
-    std::vector<ThroughputResult> cells(static_cast<std::size_t>(num_cells));
-    std::vector<char> have(static_cast<std::size_t>(num_cells), 0);
-    std::vector<char> loaded(static_cast<std::size_t>(num_cells), 0);
-    std::vector<char> computed(static_cast<std::size_t>(num_cells), 0);
+    scenario::CellGrid grid(n, runs);
     for (int i = 0; i < num_cells; ++i) {
       const std::size_t s = static_cast<std::size_t>(i);
       scenario::CellIdentity cell;
@@ -95,64 +82,34 @@ class CandidateEvaluator {
       cell.options = options_;
       cell.traffic_seed = traffic_seeds_[static_cast<std::size_t>(i % runs)];
       cell.candidate = hashes[static_cast<std::size_t>(i / runs)];
-      keys[s] = scenario::cell_key(cell);
-      if (const auto it = memo_.find(keys[s]); it != memo_.end()) {
-        cells[s] = it->second;
-        have[s] = 1;
+      grid.keys[s] = scenario::cell_key(cell);
+      if (const auto it = memo_.find(grid.keys[s]); it != memo_.end()) {
+        grid.results[s] = it->second;
+        grid.available[s] = 1;
         ++hits_;
       }
     }
 
-    // Batch striping for --shard: the flat cell index partitions exactly
-    // like a sweep grid. Identity is shard-agnostic, so any shard (or an
-    // unsharded run) addresses identical cells.
-    const auto in_stripe = [&](int i) {
-      if (opts_.shard_count == 1) return true;
-      if (opts_.stripe == scenario::StripeMode::kRange) {
-        return scenario::range_in_shard(i, num_cells, opts_.shard_index,
-                                        opts_.shard_count);
-      }
-      return scenario::cell_in_shard(i, opts_.shard_index, opts_.shard_count);
-    };
     const auto compute = [&](int i) {
-      const std::size_t s = static_cast<std::size_t>(i);
-      cells[s] = evaluate_throughput(*batch[static_cast<std::size_t>(i / runs)],
-                                     options_,
-                                     traffic_seeds_[static_cast<std::size_t>(
-                                         i % runs)]);
+      return evaluate_throughput(
+          *batch[static_cast<std::size_t>(i / runs)], options_,
+          traffic_seeds_[static_cast<std::size_t>(i % runs)]);
     };
-    // Pass 1 — this shard's stripe: load else compute, publishing fresh
-    // cells so peer shards (and warm re-runs) can adopt them.
-    parallel_for(num_cells, [&](int i) {
-      const std::size_t s = static_cast<std::size_t>(i);
-      if (have[s] || !in_stripe(i)) return;
-      if (cache_ != nullptr && cache_->load(keys[s], &cells[s])) {
-        loaded[s] = 1;
-        return;
-      }
-      compute(i);
-      computed[s] = 1;
-      if (cache_ != nullptr) cache_->store(keys[s], cells[s]);
-    });
-    // Pass 2 — other shards' cells: adopt whatever peers have published
-    // by now, recompute locally (without storing) otherwise. The search
-    // trajectory therefore never blocks on a peer, and every shard walks
-    // the identical sequence of candidates and decisions.
-    parallel_for(num_cells, [&](int i) {
-      const std::size_t s = static_cast<std::size_t>(i);
-      if (have[s] || in_stripe(i)) return;
-      if (cache_ != nullptr && cache_->load(keys[s], &cells[s])) {
-        loaded[s] = 1;
-        return;
-      }
-      compute(i);
-      computed[s] = 1;
-    });
+    // This shard's stripe first, publishing its cells for peer shards and
+    // warm re-runs; then every cell still unavailable — adopted if a peer
+    // has published it by now, computed and published otherwise — so the
+    // trajectory never waits on a peer and every shard walks the identical
+    // sequence of candidates and decisions. Cells are content-addressed,
+    // so a cell stored here is byte for byte what its owner would store.
+    for (const scenario::CellStripe& stripe :
+         {stripe_, scenario::CellStripe{}}) {
+      const scenario::CellCounts counts = executor_.run(grid, stripe, compute);
+      hits_ += counts.hits;
+      misses_ += counts.computed;
+    }
     for (int i = 0; i < num_cells; ++i) {
       const std::size_t s = static_cast<std::size_t>(i);
-      if (loaded[s]) ++hits_;
-      if (computed[s]) ++misses_;
-      memo_.emplace(keys[s], cells[s]);
+      memo_.emplace(grid.keys[s], grid.results[s]);
     }
 
     std::vector<Evaluated> out(static_cast<std::size_t>(n));
@@ -160,7 +117,7 @@ class CandidateEvaluator {
       const std::size_t s = static_cast<std::size_t>(c);
       double sum = 0.0;
       for (int r = 0; r < runs; ++r) {
-        sum += cells[static_cast<std::size_t>(c * runs + r)].lambda;
+        sum += grid.results[static_cast<std::size_t>(c * runs + r)].lambda;
       }
       out[s].hash = hashes[s];
       out[s].cost = costs[s];
@@ -183,11 +140,12 @@ class CandidateEvaluator {
  private:
   std::string family_;
   std::string objective_;
-  SearchDriverOptions opts_;
+  int runs_;
+  scenario::CellStripe stripe_;
   CostModel model_;
   EvalOptions options_;
   std::vector<std::uint64_t> traffic_seeds_;
-  std::unique_ptr<scenario::ResultCache> cache_;
+  scenario::CellExecutor executor_;
   std::map<std::uint64_t, ThroughputResult> memo_;
   int hits_ = 0;
   int misses_ = 0;
@@ -215,35 +173,6 @@ std::string record_json(const SearchStepRecord& record) {
       << ", \"objective\": " << json_number(record.objective)
       << ", \"accepted\": " << (record.accepted ? "true" : "false") << "}";
   return out.str();
-}
-
-// Parses "I/N" for --shard; mirrors the scenario CLI's parser so the two
-// verbs reject malformed values identically.
-void parse_shard_value(const std::string& value, SearchDriverOptions* opts) {
-  const std::size_t slash = value.find('/');
-  bool ok =
-      slash != std::string::npos && slash > 0 && slash + 1 < value.size();
-  int index = 0;
-  int count = 0;
-  if (ok) {
-    try {
-      std::size_t used = 0;
-      index = std::stoi(value.substr(0, slash), &used);
-      ok = used == slash;
-      std::size_t used_count = 0;
-      const std::string count_text = value.substr(slash + 1);
-      count = std::stoi(count_text, &used_count);
-      ok = ok && used_count == count_text.size();
-    } catch (const std::exception&) {
-      ok = false;
-    }
-  }
-  require(ok, "--shard expects I/N (e.g. --shard 0/2), got: " + value);
-  require(count >= 1, "--shard I/N requires N >= 1, got: " + value);
-  require(index >= 0 && index < count,
-          "--shard I/N requires 0 <= I < N, got: " + value);
-  opts->shard_index = index;
-  opts->shard_count = count;
 }
 
 }  // namespace
@@ -396,7 +325,8 @@ int search_main(int argc, const char* const* argv) {
     options.cache_dir = flags.get_string("cache-dir", "");
     if (const std::string shard = flags.get_string("shard", "");
         !shard.empty()) {
-      parse_shard_value(shard, &options);
+      scenario::parse_shard_value(shard, &options.shard_index,
+                                  &options.shard_count);
       require(options.shard_count == 1 || !options.cache_dir.empty(),
               "--shard requires --cache-dir: shards share candidate "
               "evaluations through the cache");
@@ -405,18 +335,7 @@ int search_main(int argc, const char* const* argv) {
         !stripe.empty()) {
       options.stripe = scenario::stripe_mode_from_name(stripe);
     }
-    if (const int threads = flags.get_int("threads", 0); threads > 0) {
-      // Same contract as the scenario CLI: exported for children, sized
-      // locally, loud failure if the pool already started.
-      ::setenv("TOPOBENCH_THREADS", std::to_string(threads).c_str(), 1);
-      if (!set_parallel_slots(threads)) {
-        throw InvalidArgument(
-            "--threads " + std::to_string(threads) +
-            " cannot take effect: the thread pool already started with " +
-            std::to_string(parallel_slots()) +
-            " slots (pass --threads before the first parallel region)");
-      }
-    }
+    scenario::apply_threads_flag(flags.get_int("threads", 0));
 
     const SearchResult result = run_search(spec, options);
 

@@ -65,10 +65,11 @@ struct SearchDriverOptions {
   /// memoization in-process only.
   std::string cache_dir;
   /// Distributed evaluation (--shard I/N): each evaluation batch's cells
-  /// are striped across shards exactly like a sweep's grid; out-of-stripe
-  /// cells are loaded from the shared cache when some shard already
-  /// published them and recomputed locally (without storing) otherwise,
-  /// so every shard walks the identical trajectory. Requires cache_dir.
+  /// are striped across shards exactly like a sweep's grid, and a shard
+  /// resolves its own stripe first. It then loads the out-of-stripe cells
+  /// peers have already published and computes the rest, so every shard
+  /// walks the identical trajectory; every cell a shard computes is
+  /// stored. Requires cache_dir.
   int shard_index = 0;
   int shard_count = 1;
   /// Stripe shape for sharded batches; never enters any cell identity.

@@ -1,10 +1,10 @@
 #include "search/search_space.h"
 
 #include <algorithm>
-#include <optional>
 #include <set>
 #include <utility>
 
+#include "scenario/cache.h"
 #include "scenario/topo_registry.h"
 #include "util/error.h"
 #include "util/json.h"
@@ -155,44 +155,6 @@ BuiltTopology SearchSpace::mutate(const BuiltTopology& current,
     case MoveKind::kServerShift: return server_shift_move(current, rng);
   }
   return current;
-}
-
-int max_tors_at_full_throughput_cached(const FullThroughputSearch& search,
-                                       std::uint64_t master_seed,
-                                       const std::string& identity,
-                                       const scenario::ResultCache* cache) {
-  FullThroughputSearch cached = search;
-  if (cache != nullptr) {
-    // Each probed ToR count persists a verdict cell: feasible always,
-    // lambda 1 (meets the threshold) or 0. The key covers the caller's
-    // identity string, the probe point, run count, threshold, the full
-    // evaluation options, and the master seed, so unrelated bisections
-    // never alias.
-    const auto probe_key = [=](int tors) {
-      scenario::CellIdentity cell;
-      cell.family = "tors-probe:" + identity;
-      cell.params = {{"tors", static_cast<double>(tors)},
-                     {"runs", static_cast<double>(search.runs)},
-                     {"threshold", search.threshold}};
-      cell.options = search.options;
-      cell.topo_seed = master_seed;
-      return scenario::cell_key(cell);
-    };
-    cached.probe_load = [=](int tors) -> std::optional<bool> {
-      ThroughputResult result;
-      if (!cache->load(probe_key(tors), &result)) return std::nullopt;
-      return result.lambda > 0.5;
-    };
-    cached.probe_store = [=](int tors, bool ok) {
-      ThroughputResult verdict;
-      verdict.feasible = true;
-      verdict.lambda = ok ? 1.0 : 0.0;
-      verdict.dual_bound = verdict.lambda;
-      verdict.gap = 0.0;
-      cache->store(probe_key(tors), verdict);
-    };
-  }
-  return max_tors_at_full_throughput(cached, master_seed);
 }
 
 }  // namespace topo::search

@@ -25,8 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "core/experiment.h"
-#include "scenario/cache.h"
 #include "scenario/spec.h"
 #include "topo/topology.h"
 #include "util/rng.h"
@@ -81,18 +79,6 @@ class SearchSpace {
   scenario::TopologySpec topology_;
   std::vector<MoveKind> moves_;
 };
-
-/// The Fig-12 ToR-count bisection (core/experiment.h) with its probes
-/// memoized through the result cache: each probed ToR count stores a
-/// tiny verdict cell keyed by (identity, tors, master seed, options), so
-/// re-running the same bisection against a warm cache re-evaluates
-/// nothing. `identity` must name everything the builder closes over
-/// (e.g. "vl2_rewiring d_a=12 d_i=12"); `cache` may be null (plain
-/// in-invocation memoization only). Returns exactly what
-/// max_tors_at_full_throughput returns.
-[[nodiscard]] int max_tors_at_full_throughput_cached(
-    const FullThroughputSearch& search, std::uint64_t master_seed,
-    const std::string& identity, const scenario::ResultCache* cache);
 
 }  // namespace topo::search
 

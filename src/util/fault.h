@@ -35,9 +35,10 @@ inline constexpr const char* kFaultEnvVar = "TOPOBENCH_FAULT";
 /// Under crash_after_cells:M the M-th call SIGKILLs the process.
 void on_cell_stored();
 
-/// Named point: one sweep cell finished evaluating (sweep.cc). Under
-/// stall_after_cells:M the M-th and every later call parks the calling
-/// thread forever (heartbeats stop; the process never exits on its own).
+/// Named point: one cell finished evaluating (scenario/cell_executor.cc).
+/// Under stall_after_cells:M the M-th and every later call parks the
+/// calling thread forever (heartbeats stop; the process never exits on
+/// its own).
 void on_cell_evaluated();
 
 /// Named point: a cache store is about to write `payload` (cache.cc).

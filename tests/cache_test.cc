@@ -3,12 +3,14 @@
 // content-addressed cell reuse across axis edits and run counts, the
 // corruption trust model (truncated / corrupted / foreign files are
 // recomputed, never trusted), the cross-process store contract sharding
-// relies on (racing writers, stale-temp sweeping), and shard striping
-// (stripes partition the cell grid; sharded cold runs + a coordinator
-// warm run merge to the single-process result bit for bit).
+// relies on (racing writers, stale-temp sweeping), the cell executor's
+// lookup-then-compute rule, and shard striping (stripes partition the
+// cell grid; sharded cold runs + a coordinator warm run merge to the
+// single-process result bit for bit).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -19,6 +21,7 @@
 #include <vector>
 
 #include "scenario/cache.h"
+#include "scenario/cell_executor.h"
 #include "scenario/spec_io.h"
 #include "scenario/sweep.h"
 #include "util/error.h"
@@ -795,6 +798,65 @@ TEST(Shard, ComposesWithReuseTopologyAndTargetedCuts) {
   std::filesystem::remove_all(config.cache_dir);
 }
 
+TEST(CellExecutor, LooksEveryCellUpBeforeComputingAny) {
+  // Both cells share one address. Lookups all finish before computation
+  // starts, so neither can adopt the other's fresh store: both compute,
+  // on any thread count, and a second pass hits both.
+  const std::string dir = fresh_cache_dir("executor_duplicates");
+  std::atomic<int> calls{0};
+  const auto compute = [&](int) {
+    calls.fetch_add(1);
+    ThroughputResult result;
+    result.lambda = 0.5;
+    return result;
+  };
+  CellExecutor executor(dir);
+  CellGrid cold(1, 2);
+  cold.keys = {42, 42};
+  const CellCounts first = executor.run(cold, CellStripe{}, compute);
+  EXPECT_EQ(first.hits, 0);
+  EXPECT_EQ(first.computed, 2);
+  EXPECT_EQ(first.unavailable, 0);
+  EXPECT_EQ(calls.load(), 2);
+
+  CellGrid warm(1, 2);
+  warm.keys = {42, 42};
+  const CellCounts second = executor.run(warm, CellStripe{}, compute);
+  EXPECT_EQ(second.hits, 2);
+  EXPECT_EQ(second.computed, 0);
+  EXPECT_EQ(warm.results[1].lambda, 0.5);
+  EXPECT_EQ(calls.load(), 2);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CellExecutor, StripesDecideWhoComputesAndAWiderPassFinishes) {
+  const std::string dir = fresh_cache_dir("executor_stripes");
+  const auto compute = [](int index) {
+    ThroughputResult result;
+    result.lambda = index;
+    return result;
+  };
+  CellExecutor executor(dir);
+  CellGrid grid(3, 2);  // 3 groups x 2 runs
+  grid.keys = {1, 2, 3, 4, 5, 6};
+  // A stripe that owns nothing (merge-only) computes nothing.
+  EXPECT_EQ(executor.run(grid, CellStripe{0, 0}, compute).unavailable, 6);
+  // Range stripes rank run-major: shard 0 of 2 owns run 0 of every group.
+  const CellCounts shard0 = executor.run(
+      grid, CellStripe{0, 2, StripeMode::kRange}, compute);
+  EXPECT_EQ(shard0.computed, 3);
+  EXPECT_EQ(grid.available, (std::vector<char>{1, 0, 1, 0, 1, 0}));
+  // A pass owning everything resolves only what is still missing.
+  const CellCounts rest = executor.run(grid, CellStripe{}, compute);
+  EXPECT_EQ(rest.hits, 0);
+  EXPECT_EQ(rest.computed, 3);
+  EXPECT_EQ(rest.unavailable, 0);
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_EQ(grid.results[static_cast<std::size_t>(i)].lambda, i);
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(Shard, InvalidShardConfigFailsLoudly) {
   const ScenarioSpec spec = tiny_rrg_spec();
   SweepRunConfig config = tiny_config();
@@ -815,6 +877,21 @@ TEST(Cache, UnwritableDirFailsLoudly) {
   EXPECT_THROW(ResultCache(""), InvalidArgument);
   EXPECT_THROW(ResultCache("/proc/definitely/not/writable"),
                InvalidArgument);
+}
+
+TEST(Cache, FailedStoreIsAnInternalErrorNotAUsageError) {
+  // The CLIs map InvalidArgument to exit 2 ("usage") and any other Error
+  // to exit 4 ("internal"); a disk or permission failure is the latter.
+  const std::string dir = fresh_cache_dir("store_vanished");
+  const ResultCache cache(dir);
+  std::filesystem::remove_all(dir);
+  try {
+    cache.store(7, ThroughputResult{});
+    ADD_FAILURE() << "store into a deleted dir did not throw";
+  } catch (const InvalidArgument& e) {
+    ADD_FAILURE() << "raised InvalidArgument: " << e.what();
+  } catch (const Error&) {
+  }
 }
 
 }  // namespace

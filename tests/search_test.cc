@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <map>
+#include <mutex>
 #include <set>
 #include <string>
 #include <utility>
@@ -221,6 +222,27 @@ TEST(SearchDriver, ShardedRunsWalkTheIdenticalTrajectory) {
   std::filesystem::remove_all(options.cache_dir);
 }
 
+TEST(SearchDriver, ShardPublishesEveryCellItComputes) {
+  // A lone shard computes its peer's cells too (the trajectory never waits
+  // on a peer) and publishes them, so an unsharded follow-up over the
+  // same dir computes nothing.
+  const scenario::ScenarioSpec spec = tiny_search_spec();
+  SearchDriverOptions options = tiny_options();
+  options.runs = 2;
+  options.cache_dir = fresh_dir("search_shard_publish");
+  options.shard_count = 2;
+  const SearchResult shard0 = run_search(spec, options);
+  EXPECT_GT(shard0.cache_misses, 0);
+
+  options.shard_count = 1;
+  const SearchResult merged = run_search(spec, options);
+  EXPECT_EQ(merged.cache_misses, 0);
+  EXPECT_EQ(merged.cache_hits, shard0.cache_hits + shard0.cache_misses);
+  EXPECT_EQ(search_trace_json(spec, options, merged),
+            search_trace_json(spec, options, shard0));
+  std::filesystem::remove_all(options.cache_dir);
+}
+
 TEST(SearchDriver, ShardingRequiresCacheDir) {
   const scenario::ScenarioSpec spec = tiny_search_spec();
   SearchDriverOptions options = tiny_options();
@@ -293,7 +315,11 @@ FullThroughputSearch counting_search(
     std::map<std::pair<int, std::uint64_t>, int>* builds) {
   FullThroughputSearch search;
   search.builder = [builds](int tors, std::uint64_t seed) {
-    ++(*builds)[{tors, seed}];
+    static std::mutex builds_mutex;  // the runs build on the shared pool
+    {
+      const std::lock_guard<std::mutex> lock(builds_mutex);
+      ++(*builds)[{tors, seed}];
+    }
     return random_regular_topology(10, 5, 3, seed + static_cast<std::uint64_t>(tors));
   };
   search.min_tors = 2;
@@ -312,24 +338,6 @@ TEST(BisectionMemo, EachTorsSeedPairBuildsAtMostOnce) {
   for (const auto& [key, count] : builds) {
     EXPECT_EQ(count, 1) << "tors " << key.first << " seed " << key.second;
   }
-}
-
-TEST(BisectionMemo, CachedProbesSkipRevaluationAcrossInvocations) {
-  std::map<std::pair<int, std::uint64_t>, int> builds;
-  const FullThroughputSearch search = counting_search(&builds);
-  const std::string dir = fresh_dir("search_bisect");
-  const scenario::ResultCache cache(dir);
-  const int first =
-      max_tors_at_full_throughput_cached(search, 17, "bisect-test", &cache);
-  EXPECT_EQ(first, 6);
-  EXPECT_FALSE(builds.empty());
-
-  builds.clear();
-  const int second =
-      max_tors_at_full_throughput_cached(search, 17, "bisect-test", &cache);
-  EXPECT_EQ(second, first);
-  EXPECT_TRUE(builds.empty()) << "warm bisection re-evaluated a probe";
-  std::filesystem::remove_all(dir);
 }
 
 TEST(SearchSpecIo, RoundTripIsByteStableAndCoversSearchBlock) {
