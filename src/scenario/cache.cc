@@ -1,15 +1,24 @@
 #include "scenario/cache.h"
 
+#include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <charconv>
 #include <chrono>
+#include <cmath>
+#include <concepts>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <iterator>
+#include <limits>
 #include <sstream>
+#include <string_view>
 #include <thread>
 
 #include "scenario/spec_io.h"
@@ -62,12 +71,27 @@ std::string result_json(const ThroughputResult& r) {
   return out.str();
 }
 
+// Appends each piece to `out`: text as-is, integers in decimal (the bytes
+// an ostream writes for them).
+void append_piece(std::string& out, std::string_view text) { out += text; }
+
+template <std::integral Integer>
+void append_piece(std::string& out, Integer value) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
+
+template <typename... Pieces>
+void append(std::string& out, const Pieces&... pieces) {
+  (append_piece(out, pieces), ...);
+}
+
 // Strict inverse of result_json: every field present with the right
 // type, exactly the known keys. Throws InvalidArgument on any mismatch
 // (the loader converts that into a miss).
 ThroughputResult result_from_json(const JsonValue& object) {
   require(object.is_object(), "cache cell: result must be an object");
-  const std::vector<std::string> known = {
+  static constexpr std::string_view kKnown[] = {
       "lambda",      "dual_bound",  "gap",
       "feasible",    "phases",      "utilization",
       "mean_routed_path_length",    "demand_weighted_spl",
@@ -80,13 +104,16 @@ ThroughputResult result_from_json(const JsonValue& object) {
       "fct_slowdown_p99"};
   for (const auto& [key, value] : object.members) {
     (void)value;
-    bool ok = false;
-    for (const std::string& name : known) ok = ok || name == key;
-    require(ok, "cache cell: unknown result key " + key);
+    if (std::find(std::begin(kKnown), std::end(kKnown), key) ==
+        std::end(kKnown)) {
+      throw InvalidArgument("cache cell: unknown result key " + key);
+    }
   }
   const auto number = [&](const char* key) {
     const JsonValue& value = object.at(key);
-    require(value.is_number(), std::string("cache cell: ") + key);
+    if (!value.is_number()) {
+      throw InvalidArgument(std::string("cache cell: ") + key);
+    }
     return value.number;
   };
   ThroughputResult r;
@@ -96,7 +123,14 @@ ThroughputResult result_from_json(const JsonValue& object) {
   const JsonValue& feasible = object.at("feasible");
   require(feasible.is_bool(), "cache cell: feasible");
   r.feasible = feasible.boolean;
-  r.phases = static_cast<int>(number("phases"));
+  // The file is untrusted and read before its checksum is checked: only
+  // an integral count that fits an int may reach the cast.
+  const double phases = number("phases");
+  constexpr double kMaxPhases = std::numeric_limits<int>::max();
+  require(phases >= 0.0 && phases <= kMaxPhases &&
+              phases == std::floor(phases),
+          "cache cell: phases must be an integer in [0, INT_MAX]");
+  r.phases = static_cast<int>(phases);
   r.utilization = number("utilization");
   r.mean_routed_path_length = number("mean_routed_path_length");
   r.demand_weighted_spl = number("demand_weighted_spl");
@@ -176,120 +210,117 @@ std::uint64_t spec_hash(const ScenarioSpec& spec,
 }
 
 std::string cell_identity_json(const CellIdentity& cell) {
-  std::ostringstream out;
-  out << "{\"family\": " << json_string(cell.family) << ", \"params\": {";
+  std::string out;
+  append(out, "{\"family\": ", json_string(cell.family), ", \"params\": {");
   bool first = true;
   for (const auto& [key, value] : cell.params) {  // std::map: sorted, canonical
-    if (!first) out << ", ";
+    if (!first) out += ", ";
     first = false;
-    out << json_string(key) << ": " << json_number(value);
+    append(out, json_string(key), ": ", json_number(value));
   }
   const EvalOptions& options = cell.options;
-  out << "}, \"epsilon\": " << json_number(options.flow.epsilon)
-      << ", \"max_phases\": " << options.flow.max_phases
-      << ", \"stagnation_phases\": " << options.flow.stagnation_phases
-      << ", \"dual_every\": " << options.flow.dual_every
-      << ", \"shortest_paths\": "
-      << (options.flow.restrict_to_shortest_paths ? "true" : "false");
+  append(out, "}, \"epsilon\": ", json_number(options.flow.epsilon),
+         ", \"max_phases\": ", options.flow.max_phases,
+         ", \"stagnation_phases\": ", options.flow.stagnation_phases,
+         ", \"dual_every\": ", options.flow.dual_every,
+         ", \"shortest_paths\": ",
+         (options.flow.restrict_to_shortest_paths ? "true" : "false"));
   // The approximate-solver block joins the identity only in approx mode,
   // so every exact-mode cell — including every cell written before the
   // mode existed — keeps its address, while flipping to approx (or
   // turning any approx knob, or bumping the approx tag) perturbs the key.
   if (options.flow.mode == SolverMode::kApprox) {
-    out << ", \"solver_mode\": \"approx\""
-        << ", \"approx_stale\": "
-        << json_number(options.flow.approx_stale_factor)
-        << ", \"approx_round\": " << options.flow.approx_round_size
-        << ", \"approx\": " << json_string(kSolverApproxVersionTag);
+    append(out, ", \"solver_mode\": \"approx\", \"approx_stale\": ",
+           json_number(options.flow.approx_stale_factor),
+           ", \"approx_round\": ", options.flow.approx_round_size,
+           ", \"approx\": ", json_string(kSolverApproxVersionTag));
   }
-  out << ", \"traffic\": " << json_string(traffic_kind_name(options.traffic))
-      << ", \"chunky_fraction\": " << json_number(options.chunky_fraction);
+  append(out, ", \"traffic\": ",
+         json_string(traffic_kind_name(options.traffic)),
+         ", \"chunky_fraction\": ", json_number(options.chunky_fraction));
   // Kind-specific traffic knobs join the identity only for their kind, so
   // every pre-existing (permutation/all_to_all/chunky) cell keeps its
   // address while any hotspot/stride knob perturbs the key.
   if (options.traffic == TrafficKind::kHotspot) {
-    out << ", \"hot_fraction\": " << json_number(options.hot_fraction)
-        << ", \"hot_multiplier\": " << json_number(options.hot_multiplier);
+    append(out, ", \"hot_fraction\": ", json_number(options.hot_fraction),
+           ", \"hot_multiplier\": ", json_number(options.hot_multiplier));
   }
   if (options.traffic == TrafficKind::kStride) {
-    out << ", \"stride\": " << options.stride;
+    append(out, ", \"stride\": ", options.stride);
   }
-  out << ", \"failure\": {\"link\": "
-      << json_number(options.failure.uniform.link_fraction)
-      << ", \"switch\": "
-      << json_number(options.failure.uniform.switch_fraction)
-      << ", \"capacity\": " << json_number(options.failure.capacity_factor);
+  append(out, ", \"failure\": {\"link\": ",
+         json_number(options.failure.uniform.link_fraction), ", \"switch\": ",
+         json_number(options.failure.uniform.switch_fraction),
+         ", \"capacity\": ", json_number(options.failure.capacity_factor));
   // Newer failure components join the identity only when set, so cells
   // written before they existed (and uniform-only cells today) keep their
   // addresses, while any new failure parameter perturbs the key.
   const FailureSpec& failure = options.failure;
   if (failure.correlated.epicenter_fraction != 0.0 ||
       failure.correlated.peer_probability != 0.0) {
-    out << ", \"blast\": " << json_number(failure.correlated.epicenter_fraction)
-        << ", \"blast_p\": " << json_number(failure.correlated.peer_probability);
+    append(out, ", \"blast\": ",
+           json_number(failure.correlated.epicenter_fraction),
+           ", \"blast_p\": ", json_number(failure.correlated.peer_probability));
   }
   if (!failure.per_class.switch_fraction.empty()) {
-    out << ", \"per_class\": {";
+    out += ", \"per_class\": {";
     bool first_class = true;
     for (const auto& [klass, fraction] : failure.per_class.switch_fraction) {
-      if (!first_class) out << ", ";
+      if (!first_class) out += ", ";
       first_class = false;
-      out << json_string(klass) << ": " << json_number(fraction);
+      append(out, json_string(klass), ": ", json_number(fraction));
     }
-    out << "}";
+    out += "}";
   }
   if (failure.targeted.link_cuts != 0) {
-    out << ", \"targeted\": " << failure.targeted.link_cuts;
+    append(out, ", \"targeted\": ", failure.targeted.link_cuts);
   }
-  out << "}";
+  out += "}";
   // Like the newer failure components: the packet-sim section joins the
   // identity only when enabled, so every flow-only cell (including all
   // cells written before packet co-simulation existed) keeps its
   // address, while any packet knob perturbs the key.
   if (options.packet_sim.enabled) {
     const sim::SimParams& p = options.packet_sim.params;
-    out << ", \"packet_sim\": {\"subflows\": " << p.subflows
-        << ", \"queue\": " << p.queue_packets
-        << ", \"bytes\": " << p.packet_bytes
-        << ", \"duration\": " << p.duration_ns
-        << ", \"warmup\": " << p.warmup_ns
-        << ", \"jitter\": " << p.start_jitter_ns
-        << ", \"delay\": " << p.link_delay_ns
-        << ", \"rate\": " << json_number(p.server_rate_gbps)
-        << ", \"ewtcp\": " << (p.ewtcp_coupling ? "true" : "false")
-        << ", \"route_mode\": " << json_string(route_mode_name(p.route_mode))
-        << ", \"sim\": " << json_string(kPacketSimVersionTag);
+    append(out, ", \"packet_sim\": {\"subflows\": ", p.subflows,
+           ", \"queue\": ", p.queue_packets, ", \"bytes\": ", p.packet_bytes,
+           ", \"duration\": ", p.duration_ns, ", \"warmup\": ", p.warmup_ns,
+           ", \"jitter\": ", p.start_jitter_ns, ", \"delay\": ",
+           p.link_delay_ns, ", \"rate\": ", json_number(p.server_rate_gbps),
+           ", \"ewtcp\": ", (p.ewtcp_coupling ? "true" : "false"),
+           ", \"route_mode\": ", json_string(route_mode_name(p.route_mode)),
+           ", \"sim\": ", json_string(kPacketSimVersionTag));
     // The workload sub-block joins only for FCT cells, so every bulk
     // packet-sim cell written before finite-flow workloads existed keeps
     // its address.
     if (options.packet_sim.fct.enabled) {
-      out << ", \"workload\": {\"cdf\": "
-          << json_string(options.packet_sim.fct.cdf)
-          << ", \"load\": " << json_number(options.packet_sim.fct.load);
+      append(out, ", \"workload\": {\"cdf\": ",
+             json_string(options.packet_sim.fct.cdf), ", \"load\": ",
+             json_number(options.packet_sim.fct.load));
       // The incast knobs join only for the incast pattern, so every
       // uniform-pattern workload cell written before incast existed
       // keeps its address.
       if (options.packet_sim.fct.pattern == "incast") {
-        out << ", \"pattern\": \"incast\", \"fan_in\": "
-            << options.packet_sim.fct.fan_in;
+        append(out, ", \"pattern\": \"incast\", \"fan_in\": ",
+               options.packet_sim.fct.fan_in);
       }
       // User-supplied tables join the identity as the PARSED points —
       // never the file path — so two paths with identical contents share
       // cells and editing the file's contents invalidates them.
       if (!options.packet_sim.fct.custom_cdf.empty()) {
-        out << ", \"cdf_table\": [";
+        out += ", \"cdf_table\": [";
         bool first_point = true;
         for (const CdfPoint& p : options.packet_sim.fct.custom_cdf) {
-          if (!first_point) out << ", ";
+          if (!first_point) out += ", ";
           first_point = false;
-          out << "[" << json_number(p.bytes) << ", "
-              << json_number(p.cum_prob) << "]";
+          append(out, "[", json_number(p.bytes), ", ", json_number(p.cum_prob),
+                 "]");
         }
-        out << "]";
+        out += "]";
       }
-      out << ", \"fct\": " << json_string(kFctWorkloadVersionTag) << "}";
+      append(out, ", \"fct\": ", json_string(kFctWorkloadVersionTag), "}");
     }
-    out << "}";
+    out += "}";
   }
   // Search-candidate material joins only when a candidate hash is set, so
   // every sweep cell — including all cells written before topology search
@@ -297,13 +328,13 @@ std::string cell_identity_json(const CellIdentity& cell) {
   // canonical built topology (and the search version tag) instead of a
   // construction seed.
   if (!cell.candidate.empty()) {
-    out << ", \"candidate\": " << json_string(cell.candidate)
-        << ", \"search\": " << json_string(kSearchVersionTag);
+    append(out, ", \"candidate\": ", json_string(cell.candidate),
+           ", \"search\": ", json_string(kSearchVersionTag));
   }
-  out << ", \"topo_seed\": " << cell.topo_seed
-      << ", \"traffic_seed\": " << cell.traffic_seed
-      << ", \"solver\": " << json_string(kSolverVersionTag) << "}";
-  return out.str();
+  append(out, ", \"topo_seed\": ", cell.topo_seed, ", \"traffic_seed\": ",
+         cell.traffic_seed, ", \"solver\": ", json_string(kSolverVersionTag),
+         "}");
+  return out;
 }
 
 std::uint64_t cell_key(const CellIdentity& cell) {
@@ -362,15 +393,32 @@ namespace {
 // thousands of bad cells, and one line per cell would bury the signal.
 std::atomic<bool> g_quarantine_warned{false};
 
+// Reads the whole file at `path` into `*bytes`; false when it cannot be
+// opened. A read error ends the bytes early, and the parser then rejects
+// them like any other damaged file.
+bool read_file(const std::string& path, std::string* bytes) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return false;
+  char buf[4096];
+  while (true) {
+    const ssize_t n = ::read(fd, buf, sizeof(buf));
+    if (n > 0) {
+      bytes->append(buf, static_cast<std::size_t>(n));
+    } else if (n == 0 || errno != EINTR) {
+      break;
+    }
+  }
+  ::close(fd);
+  return true;
+}
+
 }  // namespace
 
 bool ResultCache::load(std::uint64_t key, ThroughputResult* out) const {
-  std::ifstream in(cell_path(key));
-  if (!in) return false;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
+  std::string bytes;
+  if (!read_file(cell_path(key), &bytes)) return false;
   try {
-    const JsonValue root = parse_json(buffer.str());
+    const JsonValue root = parse_json(bytes);
     require(root.is_object(), "cache cell: not an object");
     const JsonValue& version = root.at("version");
     require(version.is_string() && version.text == kSolverVersionTag,
@@ -398,7 +446,6 @@ bool ResultCache::load(std::uint64_t key, ThroughputResult* out) const {
     // cleanly re-stored and the evidence survives for diagnosis. Racing
     // loaders may quarantine the same file; the losers' renames fail
     // silently (ec swallowed), which is fine.
-    in.close();
     std::error_code ec;
     std::filesystem::rename(cell_path(key), cell_path(key) + ".corrupt", ec);
     if (!ec && !g_quarantine_warned.exchange(true)) {

@@ -1,12 +1,13 @@
 #include "util/json.h"
 
 #include <cctype>
+#include <cstdlib>
 
 #include "util/error.h"
 
 namespace topo {
 
-const JsonValue* JsonValue::find(const std::string& key) const {
+const JsonValue* JsonValue::find(std::string_view key) const {
   if (kind != Kind::kObject) return nullptr;
   for (const auto& [name, value] : members) {
     if (name == key) return &value;
@@ -14,9 +15,12 @@ const JsonValue* JsonValue::find(const std::string& key) const {
   return nullptr;
 }
 
-const JsonValue& JsonValue::at(const std::string& key) const {
+const JsonValue& JsonValue::at(std::string_view key) const {
   const JsonValue* value = find(key);
-  require(value != nullptr, "JSON object has no key \"" + key + "\"");
+  if (value == nullptr) {
+    throw InvalidArgument("JSON object has no key \"" + std::string(key) +
+                          "\"");
+  }
   return *value;
 }
 
@@ -27,15 +31,18 @@ class JsonParser {
   explicit JsonParser(const std::string& input) : input_(input) {}
 
   JsonValue parse() {
-    JsonValue value = parse_value();
+    JsonValue value = parse_value(0);
     skip_space();
-    require(pos_ == input_.size(), error("trailing characters"));
+    if (pos_ != input_.size()) fail("trailing characters");
     return value;
   }
 
  private:
-  [[nodiscard]] std::string error(const std::string& why) const {
-    return "JSON parse error at byte " + std::to_string(pos_) + ": " + why;
+  // Every check calls this only once it has failed, so a document that
+  // parses never builds a message.
+  [[noreturn]] void fail(const std::string& why) const {
+    throw InvalidArgument("JSON parse error at byte " + std::to_string(pos_) +
+                          ": " + why);
   }
 
   void skip_space() {
@@ -46,13 +53,22 @@ class JsonParser {
   }
 
   char peek() {
-    require(pos_ < input_.size(), error("unexpected end of input"));
+    if (pos_ >= input_.size()) fail("unexpected end of input");
     return input_[pos_];
   }
 
   void expect(char c) {
-    require(peek() == c, error(std::string("expected '") + c + "'"));
+    if (peek() != c) fail(std::string("expected '") + c + "'");
     ++pos_;
+  }
+
+  // Arrays and objects are the only recursive productions: opening one
+  // inside `depth` others fails at its bracket once that passes the cap.
+  void check_depth(int depth) const {
+    if (depth >= kJsonMaxDepth) {
+      fail("nesting deeper than " + std::to_string(kJsonMaxDepth) +
+           " levels");
+    }
   }
 
   bool consume_literal(const char* literal) {
@@ -64,12 +80,14 @@ class JsonParser {
     return false;
   }
 
-  JsonValue parse_value() {
+  // `depth` counts the arrays and objects enclosing this value.
+  JsonValue parse_value(int depth) {
     skip_space();
     JsonValue value;
     switch (peek()) {
       case '{': {
         value.kind = JsonValue::Kind::kObject;
+        check_depth(depth);
         expect('{');
         skip_space();
         if (peek() == '}') {
@@ -79,11 +97,12 @@ class JsonParser {
         while (true) {
           skip_space();
           std::string key = parse_string_raw();
-          require(value.find(key) == nullptr,
-                  error("duplicate key \"" + key + "\""));
+          if (value.find(key) != nullptr) {
+            fail("duplicate key \"" + key + "\"");
+          }
           skip_space();
           expect(':');
-          value.members.emplace_back(std::move(key), parse_value());
+          value.members.emplace_back(std::move(key), parse_value(depth + 1));
           skip_space();
           if (peek() == ',') {
             ++pos_;
@@ -95,6 +114,7 @@ class JsonParser {
       }
       case '[': {
         value.kind = JsonValue::Kind::kArray;
+        check_depth(depth);
         expect('[');
         skip_space();
         if (peek() == ']') {
@@ -102,7 +122,7 @@ class JsonParser {
           return value;
         }
         while (true) {
-          value.items.push_back(parse_value());
+          value.items.push_back(parse_value(depth + 1));
           skip_space();
           if (peek() == ',') {
             ++pos_;
@@ -132,7 +152,7 @@ class JsonParser {
   }
 
   unsigned parse_hex4() {
-    require(pos_ + 4 <= input_.size(), error("bad \\u escape"));
+    if (pos_ + 4 > input_.size()) fail("bad \\u escape");
     unsigned code = 0;
     for (int i = 0; i < 4; ++i) {
       const char h = input_[pos_ + static_cast<std::size_t>(i)];
@@ -140,7 +160,7 @@ class JsonParser {
                         : h >= 'a' && h <= 'f' ? h - 'a' + 10
                         : h >= 'A' && h <= 'F' ? h - 'A' + 10
                                                : -1;
-      require(digit >= 0, error("bad \\u escape"));
+      if (digit < 0) fail("bad \\u escape");
       code = code * 16 + static_cast<unsigned>(digit);
     }
     pos_ += 4;
@@ -169,47 +189,48 @@ class JsonParser {
     expect('"');
     std::string out;
     while (true) {
-      require(pos_ < input_.size(), error("unterminated string"));
-      const char c = input_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        require(pos_ < input_.size(), error("bad escape"));
-        const char e = input_[pos_++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'u': {
-            const unsigned code = parse_hex4();
-            unsigned code_point = code;
-            if (code >= 0xD800 && code <= 0xDBFF) {
-              // High surrogate: a low surrogate escape must follow.
-              require(pos_ + 2 <= input_.size() && input_[pos_] == '\\' &&
-                          input_[pos_ + 1] == 'u',
-                      error("unpaired surrogate"));
-              pos_ += 2;
-              const unsigned low = parse_hex4();
-              require(low >= 0xDC00 && low <= 0xDFFF,
-                      error("invalid low surrogate"));
-              code_point =
-                  0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-            } else {
-              require(code < 0xDC00 || code > 0xDFFF,
-                      error("unpaired surrogate"));
+      // Copy the run of plain characters up to the next quote or escape
+      // in one append.
+      const std::size_t stop = input_.find_first_of("\"\\", pos_);
+      if (stop == std::string::npos) {
+        pos_ = input_.size();
+        fail("unterminated string");
+      }
+      out.append(input_, pos_, stop - pos_);
+      pos_ = stop + 1;
+      if (input_[stop] == '"') return out;
+      if (pos_ >= input_.size()) fail("bad escape");
+      const char e = input_[pos_++];
+      switch (e) {
+        case '"': out += '"'; break;
+        case '\\': out += '\\'; break;
+        case '/': out += '/'; break;
+        case 'n': out += '\n'; break;
+        case 't': out += '\t'; break;
+        case 'r': out += '\r'; break;
+        case 'b': out += '\b'; break;
+        case 'f': out += '\f'; break;
+        case 'u': {
+          const unsigned code = parse_hex4();
+          unsigned code_point = code;
+          if (code >= 0xD800 && code <= 0xDBFF) {
+            // High surrogate: a low surrogate escape must follow.
+            if (pos_ + 2 > input_.size() || input_[pos_] != '\\' ||
+                input_[pos_ + 1] != 'u') {
+              fail("unpaired surrogate");
             }
-            append_utf8(out, code_point);
-            break;
+            pos_ += 2;
+            const unsigned low = parse_hex4();
+            if (low < 0xDC00 || low > 0xDFFF) fail("invalid low surrogate");
+            code_point = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+          } else if (code >= 0xDC00 && code <= 0xDFFF) {
+            fail("unpaired surrogate");
           }
-          default:
-            require(false, error("unsupported escape"));
+          append_utf8(out, code_point);
+          break;
         }
-      } else {
-        out += c;
+        default:
+          fail("unsupported escape");
       }
     }
   }
@@ -254,10 +275,11 @@ class JsonParser {
             input_[pos_] == 'E')) {
       ++pos_;
     }
-    require(pos_ > start, error("expected a value"));
+    if (pos_ == start) fail("expected a value");
     const std::string token = input_.substr(start, pos_ - start);
-    require(valid_json_number(token),
-            error("malformed number \"" + token + "\""));
+    if (!valid_json_number(token)) {
+      fail("malformed number \"" + token + "\"");
+    }
     JsonValue value;
     value.kind = JsonValue::Kind::kNumber;
     value.number = std::strtod(token.c_str(), nullptr);

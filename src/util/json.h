@@ -4,21 +4,27 @@
 // Emission: scalar formatting helpers; doubles use shortest-round-trip
 // formatting (the shortest decimal string strtod maps back to the exact
 // bits), so emit -> parse -> emit is byte-identical and cached numbers
-// reload exactly. Non-finite values become null because JSON has no
-// inf/nan.
+// reload exactly. Numbers go through std::to_chars/std::from_chars, whose
+// general format is defined as printf's %.*g: the bytes are the ones a
+// snprintf/strtod loop produces, and they do not depend on the locale.
+// Non-finite values become null because JSON has no inf/nan.
 //
 // Parsing: a strict recursive-descent parser (objects, arrays, strings,
 // numbers, bools, null) that rejects trailing input, duplicate object
-// keys, and malformed escapes with a byte offset — shared by the golden
-// regression layer, spec_io, and the cache loader so there is exactly one
-// JSON reader in the tree.
+// keys, malformed escapes, and arrays/objects nested deeper than
+// kJsonMaxDepth with a byte offset — shared by the golden regression
+// layer, spec_io, and the cache loader so there is exactly one JSON reader
+// in the tree. The depth cap bounds the parser's recursion, so a foreign
+// or damaged file is rejected instead of overflowing the stack.
 #ifndef TOPODESIGN_UTIL_JSON_H
 #define TOPODESIGN_UTIL_JSON_H
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -28,11 +34,18 @@ namespace topo {
 inline std::string json_number(double v) {
   if (!std::isfinite(v)) return "null";
   char buf[40];
+  char* end = buf;
   for (int precision = 15; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
-    if (std::strtod(buf, nullptr) == v) break;
+    end = std::to_chars(buf, buf + sizeof(buf), v,
+                        std::chars_format::general, precision)
+              .ptr;
+    // NaN until parsed: an out-of-range read-back (DBL_MAX at precision
+    // 15) leaves it untouched and so never compares equal.
+    double back = std::numeric_limits<double>::quiet_NaN();
+    std::from_chars(buf, end, back);
+    if (back == v) break;
   }
-  return buf;
+  return std::string(buf, end);
 }
 
 /// JSON string literal with the mandatory escapes.
@@ -74,14 +87,19 @@ struct JsonValue {
   [[nodiscard]] bool is_bool() const { return kind == Kind::kBool; }
 
   /// Member lookup; nullptr when absent or not an object.
-  [[nodiscard]] const JsonValue* find(const std::string& key) const;
+  [[nodiscard]] const JsonValue* find(std::string_view key) const;
 
   /// Member lookup; raises InvalidArgument naming `key` when absent.
-  [[nodiscard]] const JsonValue& at(const std::string& key) const;
+  [[nodiscard]] const JsonValue& at(std::string_view key) const;
 };
 
+/// Deepest array/object nesting parse_json accepts (the outermost array
+/// or object is level 1).
+inline constexpr int kJsonMaxDepth = 256;
+
 /// Parses a complete JSON document. Raises InvalidArgument with a byte
-/// offset on malformed input, trailing characters, or duplicate keys.
+/// offset on malformed input, trailing characters, duplicate keys, or
+/// nesting deeper than kJsonMaxDepth.
 [[nodiscard]] JsonValue parse_json(const std::string& text);
 
 }  // namespace topo

@@ -6,20 +6,25 @@
 // relies on (racing writers, stale-temp sweeping), the cell executor's
 // lookup-then-compute rule, and shard striping (stripes partition the
 // cell grid; sharded cold runs + a coordinator warm run merge to the
-// single-process result bit for bit).
+// single-process result bit for bit), and the loader against hostile
+// files: crafted values, deep nesting and a seeded mutation fuzz loop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <climits>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
 
+#include "mutation_fuzz.h"
 #include "scenario/cache.h"
 #include "scenario/cell_executor.h"
 #include "scenario/spec_io.h"
@@ -892,6 +897,178 @@ TEST(Cache, FailedStoreIsAnInternalErrorNotAUsageError) {
     ADD_FAILURE() << "raised InvalidArgument: " << e.what();
   } catch (const Error&) {
   }
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+// The result fuzz::kStoredCellFile holds: every result key, with packet
+// and FCT blocks.
+ThroughputResult pinned_cell_result() {
+  ThroughputResult r;
+  r.lambda = 0.9346999999999999;
+  r.dual_bound = 1.0153;
+  r.gap = 0.07937;
+  r.feasible = true;
+  r.phases = 123;
+  r.utilization = 1.0 / 3.0;
+  r.mean_routed_path_length = 2.5;
+  r.demand_weighted_spl = 2.25;
+  r.stretch = 2.5 / 2.25;
+  r.total_demand = 48.0;
+  r.packet_sim_run = true;
+  r.packet_mean_normalized = 0.8052859374999991;
+  r.packet_p05_normalized = 0.490125;
+  r.packet_min_normalized = 0.283875;
+  r.packet_retransmits = 362165.0;
+  r.packet_drops = 351375.0;
+  r.fct_run = true;
+  r.fct_p50_ns = 141311.0;
+  r.fct_p95_ns = 4079012.0;
+  r.fct_p99_ns = 10067080.0;
+  r.fct_mean_ns = 791553.4028436019;
+  r.fct_goodput = 0.115659375;
+  r.fct_flows = 211.0;
+  r.fct_completed = 204.0;
+  r.fct_slowdown_p50 = 1.5;
+  r.fct_slowdown_p99 = 37.25;
+  return r;
+}
+
+// Every cached field, doubles compared by bit pattern (so -0 != 0).
+void expect_results_bitwise_equal(const ThroughputResult& a,
+                                  const ThroughputResult& b) {
+  constexpr double ThroughputResult::*kDoubles[] = {
+      &ThroughputResult::lambda,
+      &ThroughputResult::dual_bound,
+      &ThroughputResult::gap,
+      &ThroughputResult::utilization,
+      &ThroughputResult::mean_routed_path_length,
+      &ThroughputResult::demand_weighted_spl,
+      &ThroughputResult::stretch,
+      &ThroughputResult::total_demand,
+      &ThroughputResult::packet_mean_normalized,
+      &ThroughputResult::packet_p05_normalized,
+      &ThroughputResult::packet_min_normalized,
+      &ThroughputResult::packet_retransmits,
+      &ThroughputResult::packet_drops,
+      &ThroughputResult::fct_p50_ns,
+      &ThroughputResult::fct_p95_ns,
+      &ThroughputResult::fct_p99_ns,
+      &ThroughputResult::fct_mean_ns,
+      &ThroughputResult::fct_goodput,
+      &ThroughputResult::fct_flows,
+      &ThroughputResult::fct_completed,
+      &ThroughputResult::fct_slowdown_p50,
+      &ThroughputResult::fct_slowdown_p99};
+  for (const auto field : kDoubles) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.*field),
+              std::bit_cast<std::uint64_t>(b.*field));
+  }
+  EXPECT_EQ(a.feasible, b.feasible);
+  EXPECT_EQ(a.phases, b.phases);
+  EXPECT_EQ(a.packet_sim_run, b.packet_sim_run);
+  EXPECT_EQ(a.fct_run, b.fct_run);
+}
+
+TEST(Cache, StoreWritesThePinnedCellBytes) {
+  // Cell files are shared across builds and machines: a store must keep
+  // writing these bytes, number formatting included.
+  const ResultCache cache(fresh_cache_dir("pinned_bytes"));
+  cache.store(17, pinned_cell_result());
+  EXPECT_EQ(read_file(cache.cell_path(17)), fuzz::kStoredCellFile);
+  ThroughputResult loaded;
+  ASSERT_TRUE(cache.load(17, &loaded));
+  expect_results_bitwise_equal(loaded, pinned_cell_result());
+  std::filesystem::remove_all(cache.dir());
+}
+
+TEST(Cache, DeeplyNestedCellFileIsQuarantinedNotACrash) {
+  const ResultCache cache(fresh_cache_dir("deep_nesting"));
+  const std::string path = cache.cell_path(3);
+  write_file(path, std::string(100000, '['));
+  ThroughputResult loaded;
+  EXPECT_FALSE(cache.load(3, &loaded));
+  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_TRUE(std::filesystem::exists(path + ".corrupt"));
+  std::filesystem::remove_all(cache.dir());
+}
+
+TEST(Cache, PhasesOutsideTheIntRangeOrNotIntegralIsAMiss) {
+  // phases is converted before the checksum is checked, so the loader
+  // must reject a crafted value before the conversion. 1.5 is the case a
+  // checksum cannot catch: it truncates to the stored 1.
+  const ResultCache cache(fresh_cache_dir("phases"));
+  ThroughputResult result;
+  result.lambda = 0.5;
+  result.feasible = true;
+  result.phases = 1;
+  const std::string path = cache.cell_path(5);
+  // Stores `result` and rewrites its phases value as `spelling`.
+  const auto store_with_phases = [&](const std::string& spelling) {
+    cache.store(5, result);
+    std::string bytes = read_file(path);
+    const std::string stored = "\"phases\": 1,";
+    const std::size_t at = bytes.find(stored);
+    ASSERT_NE(at, std::string::npos);
+    bytes.replace(at, stored.size(), "\"phases\": " + spelling + ",");
+    write_file(path, bytes);
+  };
+  for (const char* bad : {"1e300", "-1e300", "2147483648", "-1", "1.5"}) {
+    SCOPED_TRACE(bad);
+    store_with_phases(bad);
+    ThroughputResult loaded;
+    EXPECT_FALSE(cache.load(5, &loaded));
+    EXPECT_FALSE(std::filesystem::exists(path));
+    EXPECT_TRUE(std::filesystem::exists(path + ".corrupt"));
+    std::filesystem::remove(path + ".corrupt");
+  }
+  // Another spelling of the same integer still verifies.
+  store_with_phases("1e0");
+  ThroughputResult loaded;
+  ASSERT_TRUE(cache.load(5, &loaded));
+  EXPECT_EQ(loaded.phases, 1);
+  // The whole int range round-trips.
+  result.phases = INT_MAX;
+  cache.store(6, result);
+  ASSERT_TRUE(cache.load(6, &loaded));
+  EXPECT_EQ(loaded.phases, INT_MAX);
+  std::filesystem::remove_all(cache.dir());
+}
+
+TEST(CacheFuzz, MutatedCellFilesLoadVerifiedOrAreQuarantined) {
+  const ResultCache cache(fresh_cache_dir("fuzz"));
+  const std::string path = cache.cell_path(17);
+  fuzz::Mutator mutator(11);
+  int verified = 0;
+  int quarantined = 0;
+  for (int i = 0; i < 3000; ++i) {
+    write_file(path, mutator.mutate(std::string(fuzz::kStoredCellFile)));
+    ThroughputResult loaded;
+    if (cache.load(17, &loaded)) {
+      // A mutant whose bytes still verify holds the same cell.
+      ++verified;
+      expect_results_bitwise_equal(loaded, pinned_cell_result());
+      ASSERT_TRUE(std::filesystem::exists(path));
+    } else {
+      ++quarantined;
+      ASSERT_FALSE(std::filesystem::exists(path));
+      ASSERT_TRUE(std::filesystem::exists(path + ".corrupt"));
+      std::filesystem::remove(path + ".corrupt");
+    }
+  }
+  // Both outcomes occur, so mutants reach the checks past the parser.
+  EXPECT_GT(verified, 0);
+  EXPECT_GT(quarantined, 0);
+  std::filesystem::remove_all(cache.dir());
 }
 
 }  // namespace

@@ -5,7 +5,8 @@
 // the checked-in golden table at the golden harness's 1e-9 tolerance.
 // Error paths: unknown keys, misspelled axis names, wrong types, and
 // out-of-range values each fail with a message naming the offending key
-// — the file-front-end extension of the PR-2 "fail loudly" contract.
+// — the file-front-end extension of the PR-2 "fail loudly" contract — and
+// mutated spec files either parse or fail with a clean error.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,6 +15,7 @@
 #include <sstream>
 #include <string>
 
+#include "mutation_fuzz.h"
 #include "scenario/scenario.h"
 #include "scenario/spec_io.h"
 #include "scenario/sweep.h"
@@ -586,6 +588,24 @@ TEST(SpecErrors, OutOfRangeSeedRejectedBySharedFlagParser) {
   EXPECT_THROW((void)parse_scenario_options(3, negative), InvalidArgument);
   const char* huge[] = {"spec.json", "--seed", "99999999999999999999"};
   EXPECT_THROW((void)parse_scenario_options(3, huge), InvalidArgument);
+}
+
+TEST(SpecFuzz, MutatedSpecFilesParseOrFailWithACleanError) {
+  // Seeded from the example spec with the most knob kinds (packet
+  // integers, a workload block, axes): every mutant must parse or raise a
+  // topo::Error, never crash.
+  std::ifstream in(std::string(TOPOBENCH_EXAMPLE_SPEC_DIR) +
+                   "/fct_load_sweep.json");
+  ASSERT_TRUE(in) << "missing example spec";
+  std::stringstream seed;
+  seed << in.rdbuf();
+  ASSERT_NO_THROW((void)spec_from_json(seed.str()));
+  const int accepted = fuzz::count_accepted(
+      seed.str(), 13, 3000,
+      [](const std::string& mutant) { (void)spec_from_json(mutant); });
+  // Both outcomes occur, so mutants reach the checks past the parser.
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, 3000);
 }
 
 TEST(SpecRegistry, FiguresAreNotSpecBacked) {
