@@ -57,6 +57,19 @@ GroupedCommodities group_by_source(const std::vector<Commodity>& commodities) {
   return grouped;
 }
 
+// Worst congestion max_a (flow_a - base_a) / cap_a of the flow routed
+// since the snapshot `base` (nullptr: since the start).
+double window_congestion(const ArcGraph& arcs, const std::vector<double>& flow,
+                         const std::vector<double>* base) {
+  double congestion = 0.0;
+  for (int a = 0; a < arcs.num_arcs; ++a) {
+    const auto as = static_cast<std::size_t>(a);
+    const double routed = base ? flow[as] - (*base)[as] : flow[as];
+    congestion = std::max(congestion, routed / arcs.capacity[as]);
+  }
+  return congestion;
+}
+
 // Shared congestion scan (the primal certificate and the final feasibility
 // scaling both divide by the same worst congestion; sharing the scan keeps
 // them from drifting). After `routings` full routings of the demand the
@@ -65,12 +78,7 @@ GroupedCommodities group_by_source(const std::vector<Commodity>& commodities) {
 // lambda * demand exactly once.
 double feasible_lambda(const ArcGraph& arcs, std::vector<double>& arc_flow,
                        int routings, bool scale_to_feasible) {
-  double congestion = 0.0;
-  for (int a = 0; a < arcs.num_arcs; ++a) {
-    congestion = std::max(congestion,
-                          arc_flow[static_cast<std::size_t>(a)] /
-                              arcs.capacity[static_cast<std::size_t>(a)]);
-  }
+  const double congestion = window_congestion(arcs, arc_flow, nullptr);
   if (congestion <= 0.0) return 0.0;
   const double lambda = static_cast<double>(routings) / congestion;
   if (scale_to_feasible) {
@@ -229,6 +237,15 @@ ThroughputResult max_concurrent_flow(const Graph& graph,
       approx ? static_cast<std::size_t>(num_slots) : 0, -1);
   long round_counter = 0;
   std::atomic<bool> routing_failed{false};
+  // Windowed primal: the cumulative arc_flow is snapshotted whenever the
+  // routing count reaches a power of two. The window (s, now] since the
+  // snapshot at s routes every demand exactly now - s times, so it is a
+  // primal of its own — and, unlike the all-phases average, one that
+  // excludes the badly balanced early phases. The primal reported each
+  // phase is the best window; `window` indexes the winning snapshot, or
+  // is -1 when the all-phases average wins.
+  std::vector<std::pair<int, std::vector<double>>> snapshots;
+  int window = -1;
 
   const auto route_group_approx = [&](int slot, int gi) {
     const auto ss = static_cast<std::size_t>(slot);
@@ -438,8 +455,28 @@ ThroughputResult max_concurrent_flow(const Graph& graph,
     // Primal is not tracked as a running max: feasibility scaling below
     // pairs the final flows with the final phase count, so the reported
     // lambda must be the final primal value (monotone in practice).
-    last_primal = feasible_lambda(arcs, result.arc_flow, phase + 1,
+    // Approx mode takes the best of that and every window since a
+    // snapshot, and the scaling below then uses the winning window.
+    const int routings = phase + 1;
+    last_primal = feasible_lambda(arcs, result.arc_flow, routings,
                                   /*scale_to_feasible=*/false);
+    if (approx) {
+      window = -1;
+      for (std::size_t w = 0; w < snapshots.size(); ++w) {
+        const auto& [start, base] = snapshots[w];
+        const double congestion =
+            window_congestion(arcs, result.arc_flow, &base);
+        if (congestion <= 0.0) continue;
+        const double value = static_cast<double>(routings - start) / congestion;
+        if (value > last_primal) {
+          last_primal = value;
+          window = static_cast<int>(w);
+        }
+      }
+      if ((routings & (routings - 1)) == 0) {
+        snapshots.emplace_back(routings, result.arc_flow);
+      }
+    }
 
     // Dual bound D(l)/alpha(l), valid for any lengths. The per-group
     // Dijkstras are independent, so they run on the pool; each commodity's
@@ -507,9 +544,19 @@ ThroughputResult max_concurrent_flow(const Graph& graph,
 
   result.phases = phase;
   result.feasible = true;
+  // Narrow the flow to the winning window (the subtraction is the one the
+  // window was scored with; the clamp only drops rounding residue).
+  int window_routings = result.phases;
+  if (window >= 0) {
+    const auto& [start, base] = snapshots[static_cast<std::size_t>(window)];
+    window_routings -= start;
+    for (std::size_t a = 0; a < result.arc_flow.size(); ++a) {
+      result.arc_flow[a] = std::max(0.0, result.arc_flow[a] - base[a]);
+    }
+  }
   // Scale flows to the feasible solution and derive the decomposition
   // metrics (utilization, routed path length, stretch).
-  result.lambda = feasible_lambda(arcs, result.arc_flow, result.phases,
+  result.lambda = feasible_lambda(arcs, result.arc_flow, window_routings,
                                   /*scale_to_feasible=*/true);
   result.dual_bound = best_dual == kInf ? result.lambda : best_dual;
   result.gap = result.dual_bound > 0.0

@@ -10,7 +10,12 @@
 //  * primal: route every commodity's demand once per phase along
 //    approximately-shortest paths under exponential arc lengths; after P
 //    phases, scaling all flow by the worst congestion max_a x_a/c_a yields
-//    a feasible concurrent flow of value P / scale;
+//    a feasible concurrent flow of value P / scale. Exact mode reports
+//    that all-phases flow. Approx mode also snapshots the cumulative flow
+//    at P = 1, 2, 4, ...; the flow routed since a snapshot at s carries
+//    every demand exactly P - s times, so it is a feasible flow of value
+//    (P - s) / its own worst congestion, and approx mode reports the best
+//    of these windows — which drops the badly balanced early phases;
 //  * dual: for ANY arc lengths l, OPT <= sum_a c_a l_a / alpha(l) where
 //    alpha(l) = sum_i d_i * dist_l(src_i, dst_i). We track the minimum over
 //    phases, giving a certified upper bound.
@@ -50,8 +55,11 @@ enum class SolverMode {
   /// trees carried across phases, source groups routed in deterministic
   /// batched rounds against a snapshot of the length function (parallel
   /// across the thread pool, applied in group order), and Dial-bucketed
-  /// dual-bound Dijkstras while the length spread is narrow. Still a
-  /// certified (1-epsilon)-approximation — the primal is feasible by
+  /// dual-bound Dijkstras while the length spread is narrow. The primal
+  /// is the best window of recent phases (the flow routed since a
+  /// power-of-two phase count; see the file comment) instead of the
+  /// all-phases average, so it certifies in far fewer phases. Still a
+  /// certified (1-epsilon)-approximation — every window is feasible by
   /// construction and the dual bound holds for any lengths — but the
   /// phase trajectory differs from exact mode, so lambda may differ
   /// within the epsilon tolerance. Deterministic for any thread count.

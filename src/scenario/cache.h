@@ -39,9 +39,10 @@ inline constexpr const char* kSolverVersionTag = "fptas-csr-v2";
 /// Approximate-solver version tag, mixed into the key of approx-mode
 /// cells only (SolverMode::kApprox) — the exact-mode population is never
 /// perturbed by approx numerics changes, and bumping this tag on a
-/// warm-tree/batching/bucketing change invalidates exactly the approx
-/// cells.
-inline constexpr const char* kSolverApproxVersionTag = "fptas-approx-v1";
+/// warm-tree/batching/bucketing change, or on a change to how the primal
+/// is reported (v2: the best window of recent phases), invalidates
+/// exactly the approx cells.
+inline constexpr const char* kSolverApproxVersionTag = "fptas-approx-v2";
 
 /// Simulator version tag, mixed into the key of packet-sim cells only —
 /// bumping it on a transport/queueing numerics change invalidates packet

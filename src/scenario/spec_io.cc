@@ -735,10 +735,14 @@ void validate_spec(const ScenarioSpec& spec) {
            family->params.end();
   };
   for (const auto& [name, value] : spec.topology.params) {
-    (void)value;
     if (!known_param(name)) {
       fail_key("topology.params." + name,
                "unknown " + family->name + " parameter");
+    }
+    // JSON overflow (1e3000) parses to inf, which --dump-spec would write
+    // as null and the topology family would reject with a misleading error.
+    if (!std::isfinite(value)) {
+      fail_key("topology.params." + name, "must be finite");
     }
   }
   // Scalar failure ranges are validated here — not only in the JSON
@@ -946,6 +950,10 @@ void validate_spec(const ScenarioSpec& spec) {
           axis.param == "chunky_fraction" ||
           axis.param == "hot_fraction";
       for (const double v : values) {
+        if (!is_eval_axis(axis.param) && !std::isfinite(v)) {
+          fail_key(where + list_key, "non-finite value for topology "
+                                     "parameter " + axis.param);
+        }
         if (unit_fraction && (v < 0.0 || v > 1.0)) {
           fail_key(where + list_key, "value " + json_number(v) +
                                          " out of range for " + axis.param +

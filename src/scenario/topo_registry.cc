@@ -1,6 +1,7 @@
 #include "scenario/topo_registry.h"
 
 #include <cmath>
+#include <limits>
 
 #include "topo/fat_tree.h"
 #include "topo/het_random.h"
@@ -9,6 +10,8 @@
 #include "topo/small_world.h"
 #include "topo/structured.h"
 #include "topo/vl2.h"
+#include "util/error.h"
+#include "util/json.h"
 #include "util/rng.h"
 
 namespace topo::scenario {
@@ -21,8 +24,16 @@ double param(const ParamMap& params, const std::string& name,
 
 int param_int(const ParamMap& params, const std::string& name, int fallback) {
   const auto it = params.find(name);
-  return it == params.end() ? fallback
-                            : static_cast<int>(std::llround(it->second));
+  if (it == params.end()) return fallback;
+  // A cast of an out-of-range value would silently build a different
+  // topology (or is undefined, for inf and NaN).
+  const double rounded = std::round(it->second);
+  if (!(rounded >= std::numeric_limits<int>::min() &&
+        rounded <= std::numeric_limits<int>::max())) {
+    throw InvalidArgument("topology parameter \"" + name + "\": value " +
+                          json_number(it->second) + " outside the int range");
+  }
+  return static_cast<int>(rounded);
 }
 
 namespace {

@@ -39,7 +39,9 @@ struct FamilyInfo {
 /// Finds a family by exact name; nullptr when unknown.
 [[nodiscard]] const FamilyInfo* find_family(const std::string& name);
 
-/// Reads params[name], rounded to int, with a default. Exposed for tests.
+/// Reads params[name], rounded to int, with a default. Raises
+/// InvalidArgument naming the parameter when the rounded value is outside
+/// the int range (or NaN). Exposed for tests.
 [[nodiscard]] int param_int(const ParamMap& params, const std::string& name,
                             int fallback);
 

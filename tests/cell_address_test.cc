@@ -68,29 +68,29 @@ struct PinnedSweep {
 // cached cell it touches): the failure messages print the new digests.
 const PinnedSweep kPinned[] = {
     {"sweep_fat_tree_link_failures", 12, "f3c355a71995959b",
-     "95b389787c12bf88", "8ece28168f2a9417"},
+     "95b389787c12bf88", "15fca136511eb942"},
     {"sweep_fat_tree_targeted_cuts", 15, "8e5c463e8b09822c",
-     "9c68f61a36f919dc", "1292d2ea66040c36"},
+     "9c68f61a36f919dc", "b1e61b4dad1a6ef8"},
     {"sweep_fct_load", 3, "628f6446e2bc905b",
-     "bf9f790dd93c5c6f", "c6ef842232b16df9"},
+     "bf9f790dd93c5c6f", "0409647b02bc2084"},
     {"sweep_packet_vs_flow", 1, "0275b454ba813747",
-     "be470137448ff86d", "d80120840e40e762"},
+     "be470137448ff86d", "402a7dc3337abe24"},
     {"sweep_rrg_capacity_degradation", 15, "5a28ba86b8e132e1",
-     "7c6eaa1d04c4cd29", "96f968a61e5635a2"},
+     "7c6eaa1d04c4cd29", "ab476b23b0dd1ae9"},
     {"sweep_rrg_correlated_failures", 12, "701e079322f2df33",
-     "99bbd5e9f3c1f638", "42bc4fc061d51876"},
+     "99bbd5e9f3c1f638", "13a697ed33bacf5e"},
     {"sweep_rrg_link_failures", 15, "bedd3b56c3d3fcdb",
-     "b122e6b3a1f240b4", "f61ec5648a8834f2"},
+     "b122e6b3a1f240b4", "0909ae008d01682a"},
     {"sweep_rrg_switch_failures", 15, "774851b990967ae6",
-     "b921e04d1f2cb7f9", "e4d0f5b03177ac41"},
+     "b921e04d1f2cb7f9", "52be04a262ec9b45"},
     {"sweep_small_world_shortcuts", 9, "049f9c4c5d031a9a",
-     "87bbab59626c3dfb", "3d68844808f971b9"},
+     "87bbab59626c3dfb", "f1f453fd28c85e71"},
     {"sweep_two_type_cross_failures", 18, "d57866cbe4604ddf",
-     "cf865a6926ee2990", "07e2b4ba8a9feb64"},
+     "cf865a6926ee2990", "9983659c59aadff2"},
     {"sweep_vl2_chunky", 15, "26d8841baa48cb8a",
-     "1c0bf4758fbd3588", "a2d12f3495b30492"},
+     "1c0bf4758fbd3588", "596a10dd36731bbf"},
     {"sweep_vl2_class_failures", 12, "2474391208f83b57",
-     "aff9a836d43abe03", "f9da89b41d0f0199"},
+     "aff9a836d43abe03", "f063cf03dd2b5251"},
 };
 
 TEST(CellAddresses, EveryRegisteredSweepKeepsItsCellKeys) {

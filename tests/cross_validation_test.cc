@@ -27,23 +27,29 @@ std::vector<Commodity> random_commodities(const Graph& g, int count,
 }
 
 TEST(CrossValidation, FptasWithinEpsilonOfExactLp) {
-  FlowOptions options;
-  options.epsilon = 0.05;
-  for (std::uint64_t seed : {11u, 22u, 33u, 44u}) {
-    const Graph g = random_regular_graph(10, 3, seed);
-    const auto commodities = random_commodities(g, 6, seed + 100);
-    const McfLpResult exact = solve_concurrent_flow_lp(g, commodities);
-    ASSERT_EQ(exact.status, LpStatus::kOptimal) << "seed " << seed;
-    const ThroughputResult fptas = max_concurrent_flow(g, commodities, options);
-    ASSERT_TRUE(fptas.feasible) << "seed " << seed;
-    // The FPTAS reports a certified feasible lambda, so it can never
-    // exceed the LP optimum; with a certified gap of epsilon it must also
-    // land within (1 - epsilon) of it.
-    EXPECT_LE(fptas.lambda, exact.lambda + 1e-7) << "seed " << seed;
-    EXPECT_GE(fptas.lambda, (1.0 - options.epsilon) * exact.lambda - 1e-7)
-        << "seed " << seed;
-    // The dual certificate brackets the true optimum from above.
-    EXPECT_GE(fptas.dual_bound, exact.lambda - 1e-7) << "seed " << seed;
+  for (SolverMode mode : {SolverMode::kExact, SolverMode::kApprox}) {
+    FlowOptions options;
+    options.epsilon = 0.05;
+    options.mode = mode;
+    for (std::uint64_t seed : {11u, 22u, 33u, 44u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (mode == SolverMode::kApprox ? "approx" : "exact")
+                   << " seed " << seed);
+      const Graph g = random_regular_graph(10, 3, seed);
+      const auto commodities = random_commodities(g, 6, seed + 100);
+      const McfLpResult exact = solve_concurrent_flow_lp(g, commodities);
+      ASSERT_EQ(exact.status, LpStatus::kOptimal);
+      const ThroughputResult fptas =
+          max_concurrent_flow(g, commodities, options);
+      ASSERT_TRUE(fptas.feasible);
+      // The FPTAS reports a certified feasible lambda, so it can never
+      // exceed the LP optimum; with a certified gap of epsilon it must
+      // also land within (1 - epsilon) of it.
+      EXPECT_LE(fptas.lambda, exact.lambda + 1e-7);
+      EXPECT_GE(fptas.lambda, (1.0 - options.epsilon) * exact.lambda - 1e-7);
+      // The dual certificate brackets the true optimum from above.
+      EXPECT_GE(fptas.dual_bound, exact.lambda - 1e-7);
+    }
   }
 }
 

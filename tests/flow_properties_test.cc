@@ -3,6 +3,9 @@
 // concurrent flow implementation (up to the certified gap).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "flow/concurrent_flow.h"
 #include "topo/random_regular.h"
 #include "util/rng.h"
@@ -138,6 +141,64 @@ TEST(FlowInvariants, ArcFlowConservesAtIntermediateNodes) {
       }
     }
     EXPECT_NEAR(net, 0.0, 1e-6);
+  }
+}
+
+// Approx mode reports the flow of a window of recent phases, not of all
+// of them; whatever window wins, the reported flow must be one feasible
+// concurrent flow of value lambda: within capacity on every arc,
+// conserving lambda * demand at every node, and under the dual bound.
+TEST(FlowInvariants, ApproxFlowIsFeasibleAndConserving) {
+  Rng rng(2024);
+  for (int instance = 0; instance < 200; ++instance) {
+    SCOPED_TRACE(::testing::Message() << "instance " << instance);
+    int n = rng.uniform_int(12, 30);
+    const int degree = rng.uniform_int(3, 6);
+    if (n * degree % 2 != 0) ++n;
+    const Graph rrg = random_regular_graph(n, degree, rng.engine()());
+    Graph g(n);  // same wiring, mixed line speeds
+    for (const Edge& e : rrg.edges()) {
+      g.add_edge(e.u, e.v, rng.uniform(0.5, 2.0));
+    }
+    std::vector<Commodity> commodities;
+    const int count = rng.uniform_int(4, 2 * n);
+    while (static_cast<int>(commodities.size()) < count) {
+      const int src = rng.uniform_int(0, n - 1);
+      const int dst = rng.uniform_int(0, n - 1);
+      if (src != dst) commodities.push_back({src, dst, rng.uniform(0.2, 3.0)});
+    }
+    FlowOptions options;
+    options.mode = SolverMode::kApprox;
+    options.restrict_to_shortest_paths = instance % 4 == 3;
+    // The cap keeps the loop quick and also exercises the capped exit,
+    // which reports whatever window won the last phase.
+    options.max_phases = 200;
+    const ThroughputResult r = max_concurrent_flow(g, commodities, options);
+    ASSERT_TRUE(r.feasible);
+    ASSERT_GT(r.lambda, 0.0);
+    EXPECT_LE(r.lambda, r.dual_bound);
+
+    std::vector<double> net_out(static_cast<std::size_t>(n), 0.0);
+    std::vector<double> expected(static_cast<std::size_t>(n), 0.0);
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      const Edge& edge = g.edge(e);
+      const double forward = r.arc_flow[static_cast<std::size_t>(2 * e)];
+      const double backward = r.arc_flow[static_cast<std::size_t>(2 * e + 1)];
+      EXPECT_LE(forward, edge.capacity * (1.0 + 1e-12));
+      EXPECT_LE(backward, edge.capacity * (1.0 + 1e-12));
+      net_out[static_cast<std::size_t>(edge.u)] += forward - backward;
+      net_out[static_cast<std::size_t>(edge.v)] += backward - forward;
+    }
+    for (const Commodity& c : commodities) {
+      expected[static_cast<std::size_t>(c.src)] += r.lambda * c.demand;
+      expected[static_cast<std::size_t>(c.dst)] -= r.lambda * c.demand;
+    }
+    const double scale = r.lambda * r.total_demand;
+    for (NodeId v = 0; v < n; ++v) {
+      const double error = std::abs(net_out[static_cast<std::size_t>(v)] -
+                                    expected[static_cast<std::size_t>(v)]);
+      EXPECT_LE(error, 1e-9 * scale) << "node " << v;
+    }
   }
 }
 

@@ -96,6 +96,31 @@ TEST(SolverModes, ApproxMatchesExactOnRegisteredSweeps) {
   EXPECT_GT(compared, 0);
 }
 
+// Approx mode reports the best window of recent phases as its primal, so
+// it certifies long before the all-phases average (what exact mode
+// reports) sheds its badly balanced first phases: on the search-sized
+// RRG it needs at most half of exact mode's phases.
+TEST(SolverModes, ApproxCertifiesInHalfTheExactPhases) {
+  const FamilyInfo* family = find_family("random_regular");
+  ASSERT_NE(family, nullptr);
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    const BuiltTopology topology =
+        family->build({{"n", 48}, {"ports", 12}, {"degree", 8}}, seed);
+    EvalOptions exact;
+    exact.flow.epsilon = 0.08;
+    EvalOptions approx = exact;
+    approx.flow.mode = SolverMode::kApprox;
+    const ThroughputResult e = evaluate_throughput(topology, exact, seed);
+    const ThroughputResult a = evaluate_throughput(topology, approx, seed);
+    ASSERT_LE(e.gap, 0.08);
+    ASSERT_LE(a.gap, 0.08);
+    EXPECT_LE(2 * a.phases, e.phases)
+        << "approx " << a.phases << " phases, exact " << e.phases;
+    EXPECT_LE(a.lambda, a.dual_bound);
+  }
+}
+
 // In-process determinism: the approx trajectory is a pure function of
 // the inputs, so two evaluations are bit-identical.
 TEST(SolverModes, ApproxIsBitDeterministicInProcess) {

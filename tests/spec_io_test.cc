@@ -19,6 +19,7 @@
 #include "scenario/scenario.h"
 #include "scenario/spec_io.h"
 #include "scenario/sweep.h"
+#include "scenario/topo_registry.h"
 #include "util/error.h"
 #include "util/json.h"
 
@@ -536,6 +537,31 @@ TEST(SpecErrors, OutOfRangeValuesAreNamed) {
                         "topology": {"family": "random_regular"},
                         "failure": {"capacity_factor": 0}})",
                     "capacity_factor");
+  // JSON overflow parses to inf: a topology parameter must be finite,
+  // whether set directly or swept.
+  expect_spec_error(R"({"name": "x",
+                        "topology": {"family": "random_regular",
+                                     "params": {"n": 1e3000}}})",
+                    "topology.params.n");
+  expect_spec_error(R"({"name": "x",
+                        "topology": {"family": "random_regular"},
+                        "axes": [{"param": "n", "values": [12, 1e3000]}]})",
+                    "axes[0].values");
+  expect_spec_error(R"({"name": "x",
+                        "topology": {"family": "random_regular"},
+                        "axes": [{"param": "n", "values": [12],
+                                  "full_values": [-1e3000]}]})",
+                    "axes[0].full_values");
+  // A finite value past the int range is caught where it is read, not
+  // wrapped into a different topology.
+  try {
+    (void)param_int({{"n", 4294967308.0}}, "n", 40);
+    FAIL() << "expected InvalidArgument";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("\"n\""), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(param_int({{"n", 2147483647.0}}, "n", 40), 2147483647);
 }
 
 TEST(SpecErrors, DuplicateAxesAndOutOfRangeAxisValuesAreNamed) {
