@@ -6,6 +6,8 @@
 // flows to strictly shortest paths squanders capacity (1-hop pairs get a
 // single path) — which is why Jellyfish-style designs route over
 // k-shortest (including non-minimal) paths via MPTCP.
+#include <functional>
+
 #include "bench_common.h"
 
 #include "topo/fat_tree.h"
@@ -14,6 +16,7 @@ namespace topo {
 namespace {
 
 using bench::BenchConfig;
+using Builder = std::function<BuiltTopology(std::uint64_t seed)>;
 
 struct RoutingPoint {
   double optimal = 0.0;
@@ -32,7 +35,7 @@ std::uint64_t traffic_seed_for(const BenchConfig& config, std::uint64_t salt,
                           2 * static_cast<std::uint64_t>(run) + 1);
 }
 
-RoutingPoint compare(const BenchConfig& config, const TopologyBuilder& builder,
+RoutingPoint compare(const BenchConfig& config, const Builder& builder,
                      std::uint64_t salt) {
   RoutingPoint point;
   std::vector<double> optimal;
@@ -88,7 +91,7 @@ int main(int argc, char** argv) {
                    p.ecmp / p.optimal});
   }
   {
-    const TopologyBuilder rrg = [](std::uint64_t seed) {
+    const Builder rrg = [](std::uint64_t seed) {
       return random_regular_topology(40, 15, 10, seed);  // 200 servers
     };
     const RoutingPoint p = compare(config, rrg, 102);
@@ -96,7 +99,7 @@ int main(int argc, char** argv) {
                    p.ecmp / p.optimal});
   }
   {
-    const TopologyBuilder dense_rrg = [](std::uint64_t seed) {
+    const Builder dense_rrg = [](std::uint64_t seed) {
       return random_regular_topology(40, 25, 20, seed);
     };
     const RoutingPoint p = compare(config, dense_rrg, 103);

@@ -6,7 +6,8 @@
 //   topobench --spec FILE [flags...] run a spec file (no rebuild needed)
 //   topobench --dump-spec NAME [FILE]  round-trip a sweep scenario to JSON
 //
-// Flags (shared with the per-figure bench binaries):
+// Flags (every scenario parses the same set; a figure rejects, with exit
+// 2, any it cannot honour):
 //   --smoke        quick mode (the default; explicit for CI invocations)
 //   --full         paper-fidelity mode: more runs, finer sweeps
 //   --runs N       override seeds per data point
@@ -16,13 +17,15 @@
 //   --out FILE     also write the result tables as JSON
 //   --threads N    pool size (must land before the first parallel region;
 //                  fails loudly otherwise)
-//   --cache-dir D  content-addressed cell cache for sweeps (hits/misses
-//                  report on stderr; stdout stays byte-identical)
-//   --shard I/N    distributed sweeps: evaluate only stripe I of N of the
-//                  (point x run) cell grid into the shared --cache-dir; a
-//                  final unsharded run with the same spec and cache dir
-//                  warm-merges every shard into the full table
-//   --solver M     solver mode for sweep scenarios: exact (default;
+//   --cache-dir D  content-addressed cell cache for sweeps and figures
+//                  (hits/misses report on stderr; stdout stays
+//                  byte-identical); fig03, fig10 and fig13 reject it
+//   --shard I/N    distributed sweeps (figures reject it): evaluate only
+//                  stripe I of N of the (point x run) cell grid into the
+//                  shared --cache-dir; a final unsharded run with the
+//                  same spec and cache dir warm-merges every shard into
+//                  the full table
+//   --solver M     solver mode for sweeps and figures: exact (default;
 //                  bit-identical to historical runs) or approx (the
 //                  warm-started batched-parallel FPTAS; same epsilon
 //                  guarantee, different certified numbers)

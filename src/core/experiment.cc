@@ -4,30 +4,8 @@
 #include <vector>
 
 #include "util/error.h"
-#include "util/parallel.h"
-#include "util/rng.h"
 
 namespace topo {
-namespace {
-
-// One (topology, traffic) point of an experiment; exceptions from extreme
-// parameter corners degrade to an infeasible (zero) result.
-ThroughputResult run_one(const TopologyBuilder& builder,
-                         const EvalOptions& options, std::uint64_t master_seed,
-                         int run_index) {
-  const std::uint64_t topo_seed =
-      Rng::derive_seed(master_seed, 2 * static_cast<std::uint64_t>(run_index));
-  const std::uint64_t traffic_seed = Rng::derive_seed(
-      master_seed, 2 * static_cast<std::uint64_t>(run_index) + 1);
-  try {
-    const BuiltTopology topology = builder(topo_seed);
-    return evaluate_throughput(topology, options, traffic_seed);
-  } catch (const ConstructionFailure&) {
-    return ThroughputResult{};  // counts as an infeasible (zero) run
-  }
-}
-
-}  // namespace
 
 ExperimentStats summarize_runs(const std::vector<ThroughputResult>& results) {
   std::vector<double> lambdas;
@@ -93,90 +71,28 @@ ExperimentStats summarize_runs(const std::vector<ThroughputResult>& results) {
   return stats;
 }
 
-ExperimentStats run_experiment(const TopologyBuilder& builder,
-                               const EvalOptions& options, int runs,
-                               std::uint64_t master_seed) {
-  require(runs >= 1, "run_experiment requires runs >= 1");
-
-  // Runs are seeded independently, so they execute in parallel; results
-  // land in per-run slots and are summarized serially in run order, which
-  // keeps the statistics identical for any thread count.
-  std::vector<ThroughputResult> results(static_cast<std::size_t>(runs));
-  parallel_for(runs, [&](int i) {
-    results[static_cast<std::size_t>(i)] =
-        run_one(builder, options, master_seed, i);
-  });
-  return summarize_runs(results);
-}
-
-namespace {
-
-bool run_meets_threshold(const FullThroughputSearch& search, int tors,
-                         std::uint64_t master_seed, int run_index) {
-  const std::uint64_t topo_seed =
-      Rng::derive_seed(master_seed, 2 * static_cast<std::uint64_t>(run_index));
-  const std::uint64_t traffic_seed = Rng::derive_seed(
-      master_seed, 2 * static_cast<std::uint64_t>(run_index) + 1);
-  try {
-    const BuiltTopology topology = search.builder(tors, topo_seed);
-    const ThroughputResult result =
-        evaluate_throughput(topology, search.options, traffic_seed);
-    return result.feasible && result.lambda >= search.threshold;
-  } catch (const ConstructionFailure&) {
-    return false;
-  } catch (const InvalidArgument&) {
-    return false;  // ToR count beyond what the pool can host
-  }
-}
-
-bool supports_full_throughput(const FullThroughputSearch& search, int tors,
-                              std::uint64_t master_seed) {
-  if (parallel_slots() == 1) {
-    // Serial machines keep the early exit on the first failing run.
-    for (int i = 0; i < search.runs; ++i) {
-      if (!run_meets_threshold(search, tors, master_seed, i)) return false;
-    }
-    return true;
-  }
-  std::vector<char> ok(static_cast<std::size_t>(search.runs), 0);
-  parallel_for(search.runs, [&](int i) {
-    ok[static_cast<std::size_t>(i)] =
-        run_meets_threshold(search, tors, master_seed, i) ? 1 : 0;
-  });
-  for (char good : ok) {
-    if (!good) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-int max_tors_at_full_throughput(const FullThroughputSearch& search,
-                                std::uint64_t master_seed) {
-  require(static_cast<bool>(search.builder), "search requires a builder");
-  require(search.min_tors >= 1 && search.max_tors >= search.min_tors,
-          "invalid search range");
-  require(search.runs >= 1, "search requires runs >= 1");
+int max_tors_at_full_throughput(int min_tors, int max_tors,
+                                const std::function<bool(int tors)>& probe) {
+  require(static_cast<bool>(probe), "search requires a probe");
+  require(min_tors >= 1 && max_tors >= min_tors, "invalid search range");
 
   // Memoize per ToR count: the probing order below can revisit a count
   // (min_tors == max_tors probes it as both the floor and the ceiling).
   std::map<int, bool> memo;
-  const auto probe = [&](int tors) {
+  const auto accepts = [&](int tors) {
     const auto it = memo.find(tors);
     if (it != memo.end()) return it->second;
-    return memo[tors] = supports_full_throughput(search, tors, master_seed);
+    return memo[tors] = probe(tors);
   };
 
-  if (!probe(search.min_tors)) {
-    return search.min_tors - 1;
-  }
-  int lo = search.min_tors;  // known good
-  int hi = search.max_tors;  // candidate upper end
-  if (probe(hi)) return hi;
+  if (!accepts(min_tors)) return min_tors - 1;
+  int lo = min_tors;  // known good
+  int hi = max_tors;  // candidate upper end
+  if (accepts(hi)) return hi;
   // Invariant: lo good, hi bad.
   while (hi - lo > 1) {
     const int mid = lo + (hi - lo) / 2;
-    if (probe(mid)) {
+    if (accepts(mid)) {
       lo = mid;
     } else {
       hi = mid;

@@ -1,21 +1,21 @@
-// Multi-seed experiment running and the Fig-12 full-throughput search.
+// Multi-run statistics and the Fig-12 full-throughput bisection.
 //
 // The paper averages most data points over 20 runs (new random topology
 // and new random traffic each run) and reports ~1% standard deviations.
-// ExperimentRunner reproduces that loop with deterministic seed fan-out.
+// The runs themselves execute as cells of a sweep (scenario/sweep.h,
+// run_point for a single data point); this layer holds the reduction
+// every sweep point applies and the ToR-count bisection Fig 12 and the
+// VL2 case study run over such points.
 #ifndef TOPODESIGN_CORE_EXPERIMENT_H
 #define TOPODESIGN_CORE_EXPERIMENT_H
 
-#include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "core/evaluate.h"
 #include "util/stats.h"
 
 namespace topo {
-
-/// Builds a topology for run `i` from a derived seed.
-using TopologyBuilder = std::function<BuiltTopology(std::uint64_t seed)>;
 
 /// Aggregated metrics over the runs of one experimental data point.
 struct ExperimentStats {
@@ -43,47 +43,20 @@ struct ExperimentStats {
   int fct_runs = 0;           ///< Runs that ran the FCT workload.
 };
 
-/// Reduces per-run results (in run order) to experiment statistics —
-/// the reduction run_experiment applies, exported so the scenario sweep
-/// runner summarizes its cells identically. Infeasible runs contribute
-/// zero to every summary and are counted in infeasible_runs.
+/// Reduces per-run results (in run order) to experiment statistics — the
+/// reduction every sweep point applies. Infeasible runs contribute zero
+/// to every summary and are counted in infeasible_runs.
 [[nodiscard]] ExperimentStats summarize_runs(
     const std::vector<ThroughputResult>& results);
 
-/// Runs `runs` seeded repetitions of (build topology, draw workload,
-/// solve) and summarizes. Construction failures (rare, extreme parameter
-/// corners) count as infeasible runs with lambda 0, matching the paper's
-/// treatment of disconnected/bottlenecked corners.
-///
-/// Runs execute concurrently on the shared pool (deterministically: seeds
-/// are derived per run and statistics reduced in run order), so `builder`
-/// must be safe to call from multiple threads — builders that only read
-/// captured state and derive everything from the seed qualify.
-[[nodiscard]] ExperimentStats run_experiment(const TopologyBuilder& builder,
-                                             const EvalOptions& options,
-                                             int runs,
-                                             std::uint64_t master_seed);
-
-/// Configuration of the Fig-12 binary search for the largest network (in
-/// ToRs) still delivering full throughput.
-struct FullThroughputSearch {
-  /// Builds the topology with a given ToR count for run seed `seed`.
-  std::function<BuiltTopology(int tors, std::uint64_t seed)> builder;
-  int min_tors = 1;
-  int max_tors = 1;
-  /// Full throughput declared when the certified lambda of EVERY run is at
-  /// least this threshold (the FPTAS reports a lower bound, so the same
-  /// threshold applied to two designs compares them fairly).
-  double threshold = 0.95;
-  int runs = 3;
-  EvalOptions options;
-};
-
-/// Binary-searches the largest ToR count in [min_tors, max_tors] whose
-/// every run meets the threshold, evaluating each distinct ToR count at
-/// most once. Returns min_tors - 1 if even min_tors fails.
-[[nodiscard]] int max_tors_at_full_throughput(const FullThroughputSearch& search,
-                                              std::uint64_t master_seed);
+/// Binary-searches the largest ToR count in [min_tors, max_tors] that
+/// `probe` accepts, probing each distinct count at most once. Assumes the
+/// accepted counts form a prefix of the range (more ToRs on the same
+/// equipment never helps). Returns min_tors - 1 if even min_tors fails.
+/// Fig 12's probe accepts a count when every run of its data point
+/// reaches lambda >= 0.95.
+[[nodiscard]] int max_tors_at_full_throughput(
+    int min_tors, int max_tors, const std::function<bool(int tors)>& probe);
 
 }  // namespace topo
 

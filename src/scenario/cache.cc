@@ -507,8 +507,9 @@ void ResultCache::store(std::uint64_t key, const ThroughputResult& result)
     std::filesystem::remove(temp, ec);
   }
   // Fault point (util/fault.h): under crash_after_cells:M the M-th
-  // completed store SIGKILLs the process right here — the published cell
-  // survives, nothing after it does.
+  // completed store SIGKILLs the process right here, and the published
+  // cell survives. At one thread nothing after it does; at more, stores
+  // racing the M-th on other pool threads may land before the kill.
   fault::on_cell_stored();
 }
 

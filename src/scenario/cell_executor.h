@@ -1,7 +1,8 @@
 // CellExecutor: the one pipeline every cached cell evaluation runs through.
 //
-// Sweeps (sweep.h) and topology search (search/driver.h) both evaluate
-// flat grids of cells — (point × run) or (candidate × run), cell index =
+// Sweeps (sweep.h; figures and the case studies through its run_point)
+// and topology search (search/driver.h) both evaluate flat grids of
+// cells — (point × run) or (candidate × run), cell index =
 // group * runs + run — whose results are pure functions of their content
 // address (cache.h cell_key). The executor owns the per-cell rule:
 //

@@ -15,13 +15,10 @@ namespace {
 
 double throughput_ratio(const FigureConfig& config, int n, int r,
                         int servers_per_switch, TrafficKind traffic) {
-  const int k = r + servers_per_switch;
-  const TopologyBuilder builder = [=](std::uint64_t seed) {
-    return random_regular_topology(n, k, r, seed);
-  };
-  EvalOptions options = eval_options(config, traffic);
-  const ExperimentStats stats =
-      run_experiment(builder, options, config.runs, config.seed + r);
+  const ExperimentStats stats = figure_point(
+      config, "random_regular",
+      {{"n", n}, {"ports", r + servers_per_switch}, {"degree", r}},
+      config.seed + r, traffic);
   // Network demand actually offered: same-switch flows never enter the
   // network, and all-to-all demands are normalized to one unit of egress
   // per server (see evaluate_throughput).
@@ -34,9 +31,7 @@ double throughput_ratio(const FigureConfig& config, int n, int r,
   return stats.lambda.mean / bound;
 }
 
-void run(ScenarioRun& ctx) {
-  const FigureConfig config =
-      figure_config(ctx, /*quick_runs=*/3, /*full_runs=*/20);
+void run(ScenarioRun& ctx, const FigureConfig& config) {
   const int n = 40;
 
   std::vector<int> degrees;
@@ -78,10 +73,11 @@ void run(ScenarioRun& ctx) {
 }  // namespace
 
 void register_fig01() {
-  register_scenario({"fig01_homogeneous_degree",
-                     "Figure 1: RRG throughput/ASPL vs bounds, degree sweep "
-                     "(N=40)",
-                     run});
+  register_figure("fig01_homogeneous_degree",
+                  "Figure 1: RRG throughput/ASPL vs bounds, degree sweep "
+                  "(N=40)",
+                  /*quick_runs=*/3, /*full_runs=*/20, FigureSolver::kCells,
+                  run);
 }
 
 }  // namespace topo::scenario

@@ -13,12 +13,10 @@ namespace {
 
 double throughput_ratio(const FigureConfig& config, int n, int r,
                         int servers_per_switch, TrafficKind traffic) {
-  const TopologyBuilder builder = [=](std::uint64_t seed) {
-    return random_regular_topology(n, r + servers_per_switch, r, seed);
-  };
-  const ExperimentStats stats =
-      run_experiment(builder, eval_options(config, traffic),
-                     config.runs, config.seed + n);
+  const ExperimentStats stats = figure_point(
+      config, "random_regular",
+      {{"n", n}, {"ports", r + servers_per_switch}, {"degree", r}},
+      config.seed + n, traffic);
   // Network demand actually offered: same-switch flows never enter the
   // network, and all-to-all demands are normalized to one unit of egress
   // per server (see evaluate_throughput).
@@ -30,9 +28,7 @@ double throughput_ratio(const FigureConfig& config, int n, int r,
   return stats.lambda.mean / homogeneous_throughput_upper_bound(n, r, f);
 }
 
-void run(ScenarioRun& ctx) {
-  const FigureConfig config =
-      figure_config(ctx, /*quick_runs=*/3, /*full_runs=*/20);
+void run(ScenarioRun& ctx, const FigureConfig& config) {
   const int r = 10;
 
   std::vector<int> sizes;
@@ -81,10 +77,11 @@ void run(ScenarioRun& ctx) {
 }  // namespace
 
 void register_fig02() {
-  register_scenario({"fig02_homogeneous_size",
-                     "Figure 2: RRG throughput/ASPL vs bounds, size sweep "
-                     "(degree 10)",
-                     run});
+  register_figure("fig02_homogeneous_size",
+                  "Figure 2: RRG throughput/ASPL vs bounds, size sweep "
+                  "(degree 10)",
+                  /*quick_runs=*/3, /*full_runs=*/20, FigureSolver::kCells,
+                  run);
 }
 
 }  // namespace topo::scenario

@@ -9,9 +9,7 @@
 namespace topo::scenario {
 namespace {
 
-void run(ScenarioRun& ctx) {
-  const FigureConfig config =
-      figure_config(ctx, /*quick_runs=*/3, /*full_runs=*/10);
+void run(ScenarioRun& ctx, const FigureConfig& config) {
   const int r = 4;
 
   ctx.banner(
@@ -52,9 +50,9 @@ void run(ScenarioRun& ctx) {
 }  // namespace
 
 void register_fig03() {
-  register_scenario({"fig03_aspl_steps",
-                     "Figure 3: ASPL lower-bound steps at degree 4",
-                     run});
+  register_figure("fig03_aspl_steps",
+                  "Figure 3: ASPL lower-bound steps at degree 4",
+                  /*quick_runs=*/3, /*full_runs=*/10, FigureSolver::kNone, run);
 }
 
 }  // namespace topo::scenario

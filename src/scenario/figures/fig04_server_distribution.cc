@@ -28,13 +28,15 @@ Cell lambda_at_ratio(const FigureConfig& config, TwoTypeSpec base,
       spec.servers_per_small >= spec.small_ports) {
     return std::string("-");
   }
-  const TopologyBuilder builder = [spec](std::uint64_t seed) {
-    return build_two_type(spec, seed);
-  };
-  const ExperimentStats stats =
-      run_experiment(builder, eval_options(config), config.runs,
-                     Rng::derive_seed(config.seed, point_salt));
-  return stats.lambda.mean;
+  return figure_point(config, "two_type",
+                      {{"num_large", spec.num_large},
+                       {"num_small", spec.num_small},
+                       {"large_ports", spec.large_ports},
+                       {"small_ports", spec.small_ports},
+                       {"total_servers", total_servers},
+                       {"placement_ratio", ratio}},
+                      Rng::derive_seed(config.seed, point_salt))
+      .lambda.mean;
 }
 
 const std::vector<double>& sweep_ratios(const FigureConfig& config) {
@@ -46,9 +48,7 @@ const std::vector<double>& sweep_ratios(const FigureConfig& config) {
   return config.full ? full : quick;
 }
 
-void run(ScenarioRun& ctx) {
-  const FigureConfig config =
-      figure_config(ctx, /*quick_runs=*/3, /*full_runs=*/20);
+void run(ScenarioRun& ctx, const FigureConfig& config) {
   const auto& ratios = sweep_ratios(config);
 
   // (a) port ratios 3:1, 2:1, 3:2 with 20 large (30p) + 40 small switches.
@@ -127,9 +127,10 @@ void run(ScenarioRun& ctx) {
 }  // namespace
 
 void register_fig04() {
-  register_scenario({"fig04_server_distribution",
-                     "Figure 4: server distribution across two switch types",
-                     run});
+  register_figure("fig04_server_distribution",
+                  "Figure 4: server distribution across two switch types",
+                  /*quick_runs=*/3, /*full_runs=*/20, FigureSolver::kCells,
+                  run);
 }
 
 }  // namespace topo::scenario

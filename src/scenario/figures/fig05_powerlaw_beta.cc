@@ -13,28 +13,16 @@
 namespace topo::scenario {
 namespace {
 
+// 40 switches; the power_law_pool family holds total servers at its
+// default 45% of total ports across the sweep.
 ExperimentStats stats_at_beta(const FigureConfig& config, double avg_ports,
                               double beta, std::uint64_t salt) {
-  const int num_switches = 40;
-  // Hold total servers at ~45% of total ports across the sweep.
-  const int total_servers =
-      static_cast<int>(0.45 * num_switches * avg_ports);
-  const TopologyBuilder builder = [=](std::uint64_t seed) {
-    std::vector<int> ports = power_law_ports(
-        num_switches, avg_ports, Rng::derive_seed(seed, 0x506f7274));
-    fix_parity_for_servers(ports, total_servers);
-    const std::vector<int> servers =
-        beta_proportional_servers(ports, beta, total_servers);
-    return build_pool_topology(ports, servers, seed);
-  };
-  return run_experiment(builder, eval_options(config), config.runs,
-                        Rng::derive_seed(config.seed, salt));
+  return figure_point(config, "power_law_pool",
+                      {{"n", 40}, {"avg_ports", avg_ports}, {"beta", beta}},
+                      Rng::derive_seed(config.seed, salt));
 }
 
-void run(ScenarioRun& ctx) {
-  const FigureConfig config =
-      figure_config(ctx, /*quick_runs=*/4, /*full_runs=*/20);
-
+void run(ScenarioRun& ctx, const FigureConfig& config) {
   std::vector<double> betas;
   if (config.full) {
     betas = {0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6};
@@ -80,9 +68,10 @@ void run(ScenarioRun& ctx) {
 }  // namespace
 
 void register_fig05() {
-  register_scenario({"fig05_powerlaw_beta",
-                     "Figure 5: power-law pools, servers ~ ports^beta",
-                     run});
+  register_figure("fig05_powerlaw_beta",
+                  "Figure 5: power-law pools, servers ~ ports^beta",
+                  /*quick_runs=*/4, /*full_runs=*/20, FigureSolver::kCells,
+                  run);
 }
 
 }  // namespace topo::scenario

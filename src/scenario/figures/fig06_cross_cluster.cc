@@ -14,18 +14,19 @@
 namespace topo::scenario {
 namespace {
 
-double lambda_at_fraction(const FigureConfig& config, TwoTypeSpec spec,
-                          int total_servers, double fraction,
+// Port-proportional servers (the family's default placement_ratio 1).
+double lambda_at_fraction(const FigureConfig& config, int num_small,
+                          int small_ports, int total_servers, double fraction,
                           std::uint64_t salt) {
-  spec = with_server_split(spec, total_servers, 1.0);
-  spec.cross_fraction = fraction;
-  const TopologyBuilder builder = [spec](std::uint64_t seed) {
-    return build_two_type(spec, seed);
-  };
-  const ExperimentStats stats =
-      run_experiment(builder, eval_options(config), config.runs,
-                     Rng::derive_seed(config.seed, salt));
-  return stats.lambda.mean;
+  return figure_point(config, "two_type",
+                      {{"num_large", 20},
+                       {"num_small", num_small},
+                       {"large_ports", 30},
+                       {"small_ports", small_ports},
+                       {"total_servers", total_servers},
+                       {"cross_fraction", fraction}},
+                      Rng::derive_seed(config.seed, salt))
+      .lambda.mean;
 }
 
 const std::vector<double>& sweep_fractions(const FigureConfig& config) {
@@ -36,9 +37,7 @@ const std::vector<double>& sweep_fractions(const FigureConfig& config) {
   return config.full ? full : quick;
 }
 
-void run(ScenarioRun& ctx) {
-  const FigureConfig config =
-      figure_config(ctx, /*quick_runs=*/3, /*full_runs=*/20);
+void run(ScenarioRun& ctx, const FigureConfig& config) {
   const auto& fractions = sweep_fractions(config);
 
   {
@@ -50,12 +49,7 @@ void run(ScenarioRun& ctx) {
       std::vector<Cell> row{x};
       int salt = 0;
       for (int small_ports : {10, 15, 20}) {
-        TwoTypeSpec spec;
-        spec.num_large = 20;
-        spec.num_small = 40;
-        spec.large_ports = 30;
-        spec.small_ports = small_ports;
-        row.push_back(lambda_at_fraction(config, spec, 400, x,
+        row.push_back(lambda_at_fraction(config, 40, small_ports, 400, x,
                                          11000 + salt++ * 41));
       }
       table.add_row(std::move(row));
@@ -72,12 +66,7 @@ void run(ScenarioRun& ctx) {
       std::vector<Cell> row{x};
       int salt = 0;
       for (int num_small : {20, 30, 40}) {
-        TwoTypeSpec spec;
-        spec.num_large = 20;
-        spec.num_small = num_small;
-        spec.large_ports = 30;
-        spec.small_ports = 20;
-        row.push_back(lambda_at_fraction(config, spec, 500, x,
+        row.push_back(lambda_at_fraction(config, num_small, 20, 500, x,
                                          12000 + salt++ * 41));
       }
       table.add_row(std::move(row));
@@ -95,12 +84,7 @@ void run(ScenarioRun& ctx) {
       std::vector<Cell> row{x};
       int salt = 0;
       for (int servers : {300, 500, 700}) {
-        TwoTypeSpec spec;
-        spec.num_large = 20;
-        spec.num_small = 30;
-        spec.large_ports = 30;
-        spec.small_ports = 20;
-        row.push_back(lambda_at_fraction(config, spec, servers, x,
+        row.push_back(lambda_at_fraction(config, 30, 20, servers, x,
                                          13000 + salt++ * 41));
       }
       table.add_row(std::move(row));
@@ -114,9 +98,10 @@ void run(ScenarioRun& ctx) {
 }  // namespace
 
 void register_fig06() {
-  register_scenario({"fig06_cross_cluster",
-                     "Figure 6: throughput vs cross-cluster wiring volume",
-                     run});
+  register_figure("fig06_cross_cluster",
+                  "Figure 6: throughput vs cross-cluster wiring volume",
+                  /*quick_runs=*/3, /*full_runs=*/20, FigureSolver::kCells,
+                  run);
 }
 
 }  // namespace topo::scenario

@@ -37,31 +37,24 @@ void run_panel(ScenarioRun& ctx, const FigureConfig& config,
     std::vector<Cell> row{x};
     int salt = 0;
     for (const Split& split : splits) {
-      TwoTypeSpec spec;
-      spec.num_large = 20;
-      spec.num_small = 40;
-      spec.large_ports = 30;
-      spec.small_ports = small_ports;
-      spec.servers_per_large = split.per_large;
-      spec.servers_per_small = split.per_small;
-      spec.cross_fraction = x;
-      const TopologyBuilder builder = [spec](std::uint64_t seed) {
-        return build_two_type(spec, seed);
-      };
-      const ExperimentStats stats = run_experiment(
-          builder, eval_options(config), config.runs,
-          Rng::derive_seed(config.seed, salt_base + salt++ * 53));
-      row.push_back(stats.lambda.mean);
+      row.push_back(
+          figure_point(config, "two_type",
+                       {{"num_large", 20},
+                        {"num_small", 40},
+                        {"large_ports", 30},
+                        {"small_ports", small_ports},
+                        {"servers_per_large", split.per_large},
+                        {"servers_per_small", split.per_small},
+                        {"cross_fraction", x}},
+                       Rng::derive_seed(config.seed, salt_base + salt++ * 53))
+              .lambda.mean);
     }
     table.add_row(std::move(row));
   }
   ctx.table(table);
 }
 
-void run(ScenarioRun& ctx) {
-  const FigureConfig config = figure_config(
-      ctx, /*quick_runs=*/3, /*full_runs=*/10);  // paper used 10 runs
-
+void run(ScenarioRun& ctx, const FigureConfig& config) {
   // (a) 20 large (30p) + 40 small (10p); 400 servers total per split.
   run_panel(ctx, config,
             "Figure 7(a): combined sweep, 20 large @30p + 40 small @10p "
@@ -83,9 +76,10 @@ void run(ScenarioRun& ctx) {
 }  // namespace
 
 void register_fig07() {
-  register_scenario({"fig07_combined",
-                     "Figure 7: joint server-split x cross-cluster sweep",
-                     run});
+  register_figure("fig07_combined",
+                  "Figure 7: joint server-split x cross-cluster sweep",
+                  /*quick_runs=*/3, /*full_runs=*/10,  // paper used 10 runs
+                  FigureSolver::kCells, run);
 }
 
 }  // namespace topo::scenario

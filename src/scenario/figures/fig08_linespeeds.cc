@@ -18,23 +18,18 @@ namespace {
 double lambda_for(const FigureConfig& config, int per_large, int per_small,
                   int hs_links, double hs_speed, double fraction,
                   std::uint64_t salt) {
-  TwoTypeSpec spec;
-  spec.num_large = 20;
-  spec.num_small = 20;
-  spec.large_ports = 40;
-  spec.small_ports = 15;
-  spec.servers_per_large = per_large;
-  spec.servers_per_small = per_small;
-  spec.cross_fraction = fraction;
-  spec.hs_links_per_large = hs_links;
-  spec.hs_speed = hs_speed;
-  const TopologyBuilder builder = [spec](std::uint64_t seed) {
-    return build_two_type(spec, seed);
-  };
-  const ExperimentStats stats =
-      run_experiment(builder, eval_options(config), config.runs,
-                     Rng::derive_seed(config.seed, salt));
-  return stats.lambda.mean;
+  return figure_point(config, "two_type",
+                      {{"num_large", 20},
+                       {"num_small", 20},
+                       {"large_ports", 40},
+                       {"small_ports", 15},
+                       {"servers_per_large", per_large},
+                       {"servers_per_small", per_small},
+                       {"cross_fraction", fraction},
+                       {"hs_links_per_large", hs_links},
+                       {"hs_speed", hs_speed}},
+                      Rng::derive_seed(config.seed, salt))
+      .lambda.mean;
 }
 
 const std::vector<double>& sweep_fractions(const FigureConfig& config) {
@@ -44,9 +39,7 @@ const std::vector<double>& sweep_fractions(const FigureConfig& config) {
   return config.full ? full : quick;
 }
 
-void run(ScenarioRun& ctx) {
-  const FigureConfig config =
-      figure_config(ctx, /*quick_runs=*/3, /*full_runs=*/20);
+void run(ScenarioRun& ctx, const FigureConfig& config) {
   const auto& fractions = sweep_fractions(config);
 
   // (a) server splits with 3 high-speed (10x) links per large switch.
@@ -111,9 +104,10 @@ void run(ScenarioRun& ctx) {
 }  // namespace
 
 void register_fig08() {
-  register_scenario({"fig08_linespeeds",
-                     "Figure 8: heterogeneous line-speed overlays",
-                     run});
+  register_figure("fig08_linespeeds",
+                  "Figure 8: heterogeneous line-speed overlays",
+                  /*quick_runs=*/3, /*full_runs=*/20, FigureSolver::kCells,
+                  run);
 }
 
 }  // namespace topo::scenario

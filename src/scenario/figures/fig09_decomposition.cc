@@ -45,14 +45,12 @@ void emit_normalized(ScenarioRun& ctx, const std::string& title,
   ctx.table(table);
 }
 
-PointMetrics measure(const FigureConfig& config, const TwoTypeSpec& spec,
-                     double x, std::uint64_t salt) {
-  const TopologyBuilder builder = [spec](std::uint64_t seed) {
-    return build_two_type(spec, seed);
-  };
+// One two_type data point at sweep coordinate x.
+PointMetrics measure(const FigureConfig& config, ParamMap params, double x,
+                     std::uint64_t salt) {
   const ExperimentStats stats =
-      run_experiment(builder, eval_options(config), config.runs,
-                     Rng::derive_seed(config.seed, salt));
+      figure_point(config, "two_type", std::move(params),
+                   Rng::derive_seed(config.seed, salt));
   PointMetrics m;
   m.x = x;
   m.lambda = stats.lambda.mean;
@@ -62,10 +60,7 @@ PointMetrics measure(const FigureConfig& config, const TwoTypeSpec& spec,
   return m;
 }
 
-void run(ScenarioRun& ctx) {
-  const FigureConfig config =
-      figure_config(ctx, /*quick_runs=*/3, /*full_runs=*/20);
-
+void run(ScenarioRun& ctx, const FigureConfig& config) {
   const std::vector<double> placement_xs =
       config.full ? std::vector<double>{0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 2.0}
                   : std::vector<double>{0.4, 0.8, 1.0, 1.4, 2.0};
@@ -79,14 +74,14 @@ void run(ScenarioRun& ctx) {
     std::vector<PointMetrics> points;
     int salt = 0;
     for (double x : placement_xs) {
-      TwoTypeSpec spec;
-      spec.num_large = 20;
-      spec.num_small = 30;
-      spec.large_ports = 30;
-      spec.small_ports = 20;
-      spec = with_server_split(spec, 480, x);
-      if (spec.servers_per_large >= spec.large_ports) continue;
-      points.push_back(measure(config, spec, x, 41000 + salt++ * 61));
+      points.push_back(measure(config,
+                               {{"num_large", 20},
+                                {"num_small", 30},
+                                {"large_ports", 30},
+                                {"small_ports", 20},
+                                {"total_servers", 480},
+                                {"placement_ratio", x}},
+                               x, 41000 + salt++ * 61));
     }
     emit_normalized(ctx,
                     "Figure 9(a): decomposition for the Fig 4(c) 480-server "
@@ -99,14 +94,14 @@ void run(ScenarioRun& ctx) {
     std::vector<PointMetrics> points;
     int salt = 0;
     for (double x : cross_xs) {
-      TwoTypeSpec spec;
-      spec.num_large = 20;
-      spec.num_small = 30;
-      spec.large_ports = 30;
-      spec.small_ports = 20;
-      spec = with_server_split(spec, 500, 1.0);
-      spec.cross_fraction = x;
-      points.push_back(measure(config, spec, x, 42000 + salt++ * 61));
+      points.push_back(measure(config,
+                               {{"num_large", 20},
+                                {"num_small", 30},
+                                {"large_ports", 30},
+                                {"small_ports", 20},
+                                {"total_servers", 500},
+                                {"cross_fraction", x}},
+                               x, 42000 + salt++ * 61));
     }
     emit_normalized(ctx,
                     "Figure 9(b): decomposition for the Fig 6(c) 500-server "
@@ -119,17 +114,17 @@ void run(ScenarioRun& ctx) {
     std::vector<PointMetrics> points;
     int salt = 0;
     for (double x : cross_xs) {
-      TwoTypeSpec spec;
-      spec.num_large = 20;
-      spec.num_small = 20;
-      spec.large_ports = 40;
-      spec.small_ports = 15;
-      spec.servers_per_large = 31;
-      spec.servers_per_small = 12;
-      spec.hs_links_per_large = 3;
-      spec.hs_speed = 4.0;
-      spec.cross_fraction = x;
-      points.push_back(measure(config, spec, x, 43000 + salt++ * 61));
+      points.push_back(measure(config,
+                               {{"num_large", 20},
+                                {"num_small", 20},
+                                {"large_ports", 40},
+                                {"small_ports", 15},
+                                {"servers_per_large", 31},
+                                {"servers_per_small", 12},
+                                {"hs_links_per_large", 3},
+                                {"hs_speed", 4.0},
+                                {"cross_fraction", x}},
+                               x, 43000 + salt++ * 61));
     }
     emit_normalized(ctx,
                     "Figure 9(c): decomposition for the Fig 8(c) 3-H-link "
@@ -143,9 +138,10 @@ void run(ScenarioRun& ctx) {
 }  // namespace
 
 void register_fig09() {
-  register_scenario({"fig09_decomposition",
-                     "Figure 9: throughput decomposition (U, 1/SPL, 1/AS)",
-                     run});
+  register_figure("fig09_decomposition",
+                  "Figure 9: throughput decomposition (U, 1/SPL, 1/AS)",
+                  /*quick_runs=*/3, /*full_runs=*/20, FigureSolver::kCells,
+                  run);
 }
 
 }  // namespace topo::scenario

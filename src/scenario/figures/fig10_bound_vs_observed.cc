@@ -39,6 +39,7 @@ BoundPoint measure(const FigureConfig& config, const TwoTypeSpec& spec,
       const auto commodities = aggregate_to_commodities(tm, t.servers);
       FlowOptions flow;
       flow.epsilon = config.epsilon;
+      flow.mode = config.solver;
       const ThroughputResult r = max_concurrent_flow(t.graph, commodities, flow);
       observed.push_back(r.lambda);
 
@@ -98,10 +99,7 @@ TwoTypeSpec mixed_case(int hs_links, double hs_speed, double fraction) {
   return spec;
 }
 
-void run(ScenarioRun& ctx) {
-  const FigureConfig config =
-      figure_config(ctx, /*quick_runs=*/3, /*full_runs=*/20);
-
+void run(ScenarioRun& ctx, const FigureConfig& config) {
   const std::vector<double> fractions =
       config.full
           ? std::vector<double>{0.1, 0.2, 0.3, 0.4, 0.6, 0.8, 1.0, 1.3, 1.6}
@@ -152,9 +150,10 @@ void run(ScenarioRun& ctx) {
 }  // namespace
 
 void register_fig10() {
-  register_scenario({"fig10_bound_vs_observed",
-                     "Figure 10: Eqn-1 bound vs observed throughput",
-                     run});
+  register_figure("fig10_bound_vs_observed",
+                  "Figure 10: Eqn-1 bound vs observed throughput",
+                  /*quick_runs=*/3, /*full_runs=*/20, FigureSolver::kDirect,
+                  run);
 }
 
 }  // namespace topo::scenario

@@ -14,21 +14,21 @@
 namespace topo::scenario {
 namespace {
 
-double lambda_at(const FigureConfig& config, TwoTypeSpec spec, double x,
-                 std::uint64_t salt) {
-  spec.cross_fraction = x;
-  const TopologyBuilder builder = [spec](std::uint64_t seed) {
-    return build_two_type(spec, seed);
-  };
-  return run_experiment(builder, eval_options(config), config.runs,
-                        Rng::derive_seed(config.seed, salt))
+// Port-proportional servers (the family's default placement_ratio 1).
+double lambda_at(const FigureConfig& config, const TwoTypeSpec& spec,
+                 int total_servers, double x, std::uint64_t salt) {
+  return figure_point(config, "two_type",
+                      {{"num_large", spec.num_large},
+                       {"num_small", spec.num_small},
+                       {"large_ports", spec.large_ports},
+                       {"small_ports", spec.small_ports},
+                       {"total_servers", total_servers},
+                       {"cross_fraction", x}},
+                      Rng::derive_seed(config.seed, salt))
       .lambda.mean;
 }
 
-void run(ScenarioRun& ctx) {
-  const FigureConfig config =
-      figure_config(ctx, /*quick_runs=*/2, /*full_runs=*/10);
-
+void run(ScenarioRun& ctx, const FigureConfig& config) {
   // 18 configurations: 3 port ratios x 3 small-switch counts x 2 server
   // totals (quick mode samples 9 of them).
   struct Config {
@@ -70,8 +70,8 @@ void run(ScenarioRun& ctx) {
     std::vector<double> lambdas;
     int salt = 0;
     for (double x : fractions) {
-      lambdas.push_back(
-          lambda_at(config, spec, x, 61000 + index * 997 + salt++ * 71));
+      lambdas.push_back(lambda_at(config, spec, c.servers, x,
+                                  61000 + index * 997 + salt++ * 71));
       peak = std::max(peak, lambdas.back());
     }
 
@@ -107,10 +107,11 @@ void run(ScenarioRun& ctx) {
 }  // namespace
 
 void register_fig11() {
-  register_scenario({"fig11_threshold",
-                     "Figure 11: predicted cross-cluster throughput-drop "
-                     "threshold",
-                     run});
+  register_figure("fig11_threshold",
+                  "Figure 11: predicted cross-cluster throughput-drop "
+                  "threshold",
+                  /*quick_runs=*/2, /*full_runs=*/10, FigureSolver::kCells,
+                  run);
 }
 
 }  // namespace topo::scenario

@@ -13,34 +13,66 @@
 // largest sizes; (b) chunky hurts only when most of the network is
 // chunky; (c) gains shrink but stay positive under 100% chunky, and
 // all-to-all is easier than permutation.
+#include <map>
+#include <tuple>
+
 #include "scenario/figures/figure_common.h"
 #include "scenario/figures/figures.h"
+#include "util/error.h"
 
 namespace topo::scenario {
 namespace {
 
+// The rewired pool of `params` at `tors` ToRs, as a figure data point.
+ExperimentStats rewired_point(const FigureConfig& config,
+                              const Vl2Params& params, int tors,
+                              std::uint64_t point_seed, TrafficKind traffic,
+                              double chunky_fraction) {
+  return figure_point(config, "rewired_vl2",
+                      {{"d_a", params.d_a}, {"d_i", params.d_i},
+                       {"tors", tors}},
+                      point_seed, traffic, chunky_fraction);
+}
+
+// Full throughput at a ToR count: every run's certified lambda reaches
+// 0.95 (the FPTAS reports a lower bound, so one threshold compares two
+// designs fairly). Every probe draws from the same point seed.
 int rewired_max_tors_at_full_throughput(const FigureConfig& config,
                                         const Vl2Params& params,
                                         TrafficKind traffic,
                                         double chunky_fraction,
                                         std::uint64_t salt) {
-  FullThroughputSearch search;
-  search.builder = [params](int tors, std::uint64_t seed) {
-    return rewired_vl2_topology(params, tors, seed);
+  FigureConfig probe_config = config;
+  probe_config.epsilon = std::min(config.epsilon, 0.05);
+  const auto probe = [&](int tors) {
+    try {
+      const ExperimentStats stats =
+          rewired_point(probe_config, params, tors,
+                        Rng::derive_seed(config.seed, salt), traffic,
+                        chunky_fraction);
+      return stats.infeasible_runs == 0 && stats.lambda.min >= 0.95;
+    } catch (const InvalidArgument&) {
+      return false;  // ToR count beyond what the pool can host
+    }
   };
-  search.min_tors = std::max(1, vl2_nominal_tors(params) / 2);
-  search.max_tors = rewired_vl2_max_tors(params);
-  search.threshold = 0.95;
-  search.runs = config.runs;
-  search.options = eval_options(config, traffic, chunky_fraction);
-  search.options.flow.epsilon = std::min(config.epsilon, 0.05);
-  return max_tors_at_full_throughput(search,
-                                     Rng::derive_seed(config.seed, salt));
+  return max_tors_at_full_throughput(std::max(1, vl2_nominal_tors(params) / 2),
+                                     rewired_vl2_max_tors(params), probe);
 }
 
-void run(ScenarioRun& ctx) {
-  const FigureConfig config =
-      figure_config(ctx, /*quick_runs=*/2, /*full_runs=*/20);
+void run(ScenarioRun& ctx, const FigureConfig& config) {
+  // Panel (b) sizes its topologies with the very bisections of (a)'s last
+  // DI column; one memo per figure runs each bisection once.
+  std::map<std::tuple<int, int, TrafficKind, double, std::uint64_t>, int>
+      bisections;
+  const auto max_tors = [&](const Vl2Params& params, TrafficKind traffic,
+                            double chunky_fraction, std::uint64_t salt) {
+    const auto key =
+        std::make_tuple(params.d_a, params.d_i, traffic, chunky_fraction, salt);
+    const auto it = bisections.find(key);
+    if (it != bisections.end()) return it->second;
+    return bisections[key] = rewired_max_tors_at_full_throughput(
+               config, params, traffic, chunky_fraction, salt);
+  };
 
   const std::vector<int> da_values =
       config.full ? std::vector<int>{6, 8, 10, 12, 14, 16, 18, 20}
@@ -67,9 +99,8 @@ void run(ScenarioRun& ctx) {
           continue;
         }
         const int nominal = vl2_nominal_tors(params);
-        const int rewired = rewired_max_tors_at_full_throughput(
-            config, params, TrafficKind::kPermutation, 1.0,
-            71000 + da * 131 + di);
+        const int rewired = max_tors(params, TrafficKind::kPermutation, 1.0,
+                                     71000 + da * 131 + di);
         row.push_back(static_cast<double>(rewired) / nominal);
       }
       table.add_row(std::move(row));
@@ -93,21 +124,17 @@ void run(ScenarioRun& ctx) {
       params.d_a = da;
       params.d_i = di;
       if ((da * di) % 4 != 0) continue;
-      const int tors = rewired_max_tors_at_full_throughput(
-          config, params, TrafficKind::kPermutation, 1.0,
-          71000 + da * 131 + di);
+      const int tors = max_tors(params, TrafficKind::kPermutation, 1.0,
+                                71000 + da * 131 + di);
       std::vector<Cell> row{static_cast<long long>(da)};
       for (double fraction : {0.2, 0.6, 1.0}) {
-        const TopologyBuilder builder = [params, tors](std::uint64_t seed) {
-          return rewired_vl2_topology(params, tors, seed);
-        };
-        const ExperimentStats stats = run_experiment(
-            builder,
-            eval_options(config, TrafficKind::kChunky, fraction),
-            config.runs,
-            Rng::derive_seed(config.seed,
-                             72000 + da * 131 + static_cast<int>(fraction * 10)));
-        row.push_back(stats.lambda.mean);
+        row.push_back(
+            rewired_point(config, params, tors,
+                          Rng::derive_seed(config.seed,
+                                           72000 + da * 131 +
+                                               static_cast<int>(fraction * 10)),
+                          TrafficKind::kChunky, fraction)
+                .lambda.mean);
       }
       table.add_row(std::move(row));
     }
@@ -132,17 +159,15 @@ void run(ScenarioRun& ctx) {
       if ((da * di) % 4 != 0) continue;
       const int nominal = vl2_nominal_tors(params);
       std::vector<Cell> row{static_cast<long long>(da)};
-      row.push_back(static_cast<double>(rewired_max_tors_at_full_throughput(
-                        config, params, TrafficKind::kAllToAll, 1.0,
-                        73000 + da * 7)) /
+      row.push_back(static_cast<double>(max_tors(params, TrafficKind::kAllToAll,
+                                                 1.0, 73000 + da * 7)) /
                     nominal);
-      row.push_back(static_cast<double>(rewired_max_tors_at_full_throughput(
-                        config, params, TrafficKind::kPermutation, 1.0,
-                        74000 + da * 7)) /
+      row.push_back(static_cast<double>(max_tors(params,
+                                                 TrafficKind::kPermutation,
+                                                 1.0, 74000 + da * 7)) /
                     nominal);
-      row.push_back(static_cast<double>(rewired_max_tors_at_full_throughput(
-                        config, params, TrafficKind::kChunky, 1.0,
-                        75000 + da * 7)) /
+      row.push_back(static_cast<double>(max_tors(params, TrafficKind::kChunky,
+                                                 1.0, 75000 + da * 7)) /
                     nominal);
       table.add_row(std::move(row));
     }
@@ -155,9 +180,10 @@ void run(ScenarioRun& ctx) {
 }  // namespace
 
 void register_fig12() {
-  register_scenario({"fig12_vl2",
-                     "Figure 12: rewiring VL2's equipment for more servers",
-                     run});
+  register_figure("fig12_vl2",
+                  "Figure 12: rewiring VL2's equipment for more servers",
+                  /*quick_runs=*/2, /*full_runs=*/20, FigureSolver::kCells,
+                  run);
 }
 
 }  // namespace topo::scenario

@@ -12,10 +12,7 @@
 namespace topo::scenario {
 namespace {
 
-void run(ScenarioRun& ctx) {
-  const FigureConfig config =
-      figure_config(ctx, /*quick_runs=*/1, /*full_runs=*/5);
-
+void run(ScenarioRun& ctx, const FigureConfig& config) {
   const std::vector<int> da_values =
       config.full ? std::vector<int>{6, 8, 10, 12, 14, 16, 18}
                   : std::vector<int>{6, 8, 10};
@@ -47,8 +44,9 @@ void run(ScenarioRun& ctx) {
           Rng::derive_seed(config.seed, 81000 + da * 97 + run);
       const BuiltTopology t = rewired_vl2_topology(params, tors, seed);
 
-      EvalOptions options = eval_options(config);
+      EvalOptions options;
       options.flow.epsilon = std::min(config.epsilon, 0.05);
+      options.flow.mode = config.solver;
       const ThroughputResult flow = evaluate_throughput(t, options, seed + 1);
       flow_values.push_back(std::min(1.0, flow.lambda));
 
@@ -84,9 +82,10 @@ void run(ScenarioRun& ctx) {
 }  // namespace
 
 void register_fig13() {
-  register_scenario({"fig13_packet_vs_flow",
-                     "Figure 13: packet-level MPTCP vs flow-level optimum",
-                     run});
+  register_figure("fig13_packet_vs_flow",
+                  "Figure 13: packet-level MPTCP vs flow-level optimum",
+                  /*quick_runs=*/1, /*full_runs=*/5, FigureSolver::kDirect,
+                  run);
 }
 
 }  // namespace topo::scenario

@@ -1,8 +1,9 @@
 // Registration hooks for the 13 figure-reproduction scenarios.
 //
 // Each figNN_*.cc translation unit owns one figure's experiment code
-// (moved verbatim from the historical bench/figNN_*.cpp binaries — output
-// stays byte-identical on fixed seeds) and exposes one registration hook.
+// (output byte-identical to the historical per-figure binaries on fixed
+// seeds) and exposes one registration hook (figure_common.h
+// register_figure).
 // register_figure_scenarios() is the explicit aggregate; linking figures
 // into the static library pulls these objects in only when it is called.
 #ifndef TOPODESIGN_SCENARIO_FIGURES_FIGURES_H

@@ -3,10 +3,9 @@
 // A scenario is a named unit of evaluation — one of the paper's figures, a
 // declarative parameter sweep (spec.h), or anything else expressible as
 // "print tables given run options". Scenarios register themselves in a
-// process-wide registry; the `topobench` CLI, the thin per-figure bench
-// binaries, and the golden-regression tests all select and run them
-// through the same entry points, so there is exactly one implementation of
-// every experiment in the tree.
+// process-wide registry; the `topobench` CLI and the golden-regression
+// tests select and run them through the same entry points, so there is
+// exactly one implementation of every experiment in the tree.
 //
 // Output model: a scenario writes human-readable output (banners, aligned
 // tables, trailing notes) to a stream exactly as the historical bench
@@ -36,8 +35,9 @@ struct ScenarioOptions {
   bool csv = false;            ///< Emit CSV tables instead of aligned text.
   bool full = false;           ///< Paper-fidelity mode (more runs, finer sweeps).
   std::string out_path;        ///< Write result JSON here ("" = disabled).
-  /// Content-addressed cell cache for sweep scenarios (scenario/cache.h);
-  /// "" disables caching. Figure scenarios ignore it.
+  /// Content-addressed cell cache for sweep and figure scenarios
+  /// (scenario/cache.h); "" disables caching. fig03, fig10 and fig13
+  /// reject it (figures/figure_common.h).
   std::string cache_dir;
   /// Distributed sweep sharding (--shard I/N): this invocation evaluates
   /// only the cells of stripe `shard_index` out of `shard_count` stripes
@@ -46,7 +46,7 @@ struct ScenarioOptions {
   /// shard-agnostic, so a coordinator run with the same spec and no
   /// sharding warm-merges every shard's cells into the full table with
   /// zero recomputation. The default (0, 1) is an unsharded run.
-  /// Figure scenarios ignore it.
+  /// Figure scenarios reject it: their tables need every cell.
   int shard_index = 0;
   int shard_count = 1;
   /// Stripe shape for sharded sweeps (--stripe): "" / "round-robin" is
@@ -56,7 +56,7 @@ struct ScenarioOptions {
   std::string stripe;
   /// Solver-mode override for sweep scenarios (--solver): "" keeps each
   /// spec's own solver field, "exact" / "approx" force that mode for
-  /// every cell. Figure scenarios ignore it.
+  /// every cell. Figures pass it to their solves; fig03 rejects it.
   std::string solver;
 };
 
@@ -164,7 +164,7 @@ void apply_threads_flag(int threads);
 int run_scenario(const std::string& name, const ScenarioOptions& options,
                  std::ostream& stream);
 
-/// Entry point shared by the thin bench binaries: registers the built-in
+/// Entry point of `topobench NAME`: registers the built-in
 /// scenarios, parses flags, runs `name` against stdout. Returns a shell
 /// exit code.
 int scenario_main(const std::string& name, int argc, const char* const* argv);

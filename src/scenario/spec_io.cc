@@ -4,6 +4,7 @@
 #include <cmath>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 
 #include "scenario/scenario.h"
@@ -64,26 +65,35 @@ std::string get_string(const JsonValue& object, const std::string& key) {
       .text;
 }
 
-int get_run_count(const JsonValue& object, const std::string& key,
-                  int fallback) {
+// The parser checks types only; every numeric range is validate_spec's,
+// so a spec built in code and one read from a file pass the same checks.
+// `where` prefixes the key in errors ("packet_sim." for nested blocks).
+double get_number(const JsonValue& object, const std::string& key,
+                  double fallback, const std::string& where = "") {
   const JsonValue* value = object.find(key);
   if (value == nullptr) return fallback;
-  if (value->kind != JsonValue::Kind::kNumber) fail_key(key, "must be a number");
-  const double number = value->number;
-  if (number != std::floor(number)) fail_key(key, "must be an integer");
-  if (number < 1 || number > 1e6) fail_key(key, "out of range (want 1..1e6)");
-  return static_cast<int>(number);
+  if (!value->is_number()) fail_key(where + key, "must be a number");
+  return value->number;
 }
 
-double get_fraction(const JsonValue& object, const std::string& key,
-                    double fallback) {
+// An integer that fits T, so the cast below is defined.
+template <typename T>
+T get_integer(const JsonValue& object, const std::string& key, T fallback,
+              const std::string& where = "") {
   const JsonValue* value = object.find(key);
   if (value == nullptr) return fallback;
-  if (value->kind != JsonValue::Kind::kNumber) fail_key(key, "must be a number");
-  if (value->number < 0.0 || value->number > 1.0) {
-    fail_key(key, "out of range (want [0, 1])");
+  const double number = get_number(object, key, 0.0, where);
+  if (number != std::floor(number)) fail_key(where + key, "must be an integer");
+  if (!(number >= static_cast<double>(std::numeric_limits<T>::min()) &&
+        number < std::ldexp(1.0, std::numeric_limits<T>::digits))) {
+    fail_key(where + key, "out of range (does not fit the field)");
   }
-  return value->number;
+  return static_cast<T>(number);
+}
+
+// Raises "out of range (want <want>)" for `key` unless `ok`.
+void check_range(bool ok, const std::string& key, const std::string& want) {
+  if (!ok) fail_key(key, "out of range (want " + want + ")");
 }
 
 std::vector<double> get_number_list(const JsonValue& object,
@@ -334,7 +344,6 @@ ScenarioSpec spec_from_json(const std::string& text) {
 
   ScenarioSpec spec;
   spec.name = get_string(root, "name");
-  if (spec.name.empty()) fail_key("name", "must be non-empty");
   if (root.find("description") != nullptr) {
     spec.description = get_string(root, "description");
   }
@@ -359,7 +368,7 @@ ScenarioSpec spec_from_json(const std::string& text) {
   if (root.find("solver") != nullptr) {
     spec.solver = solver_mode_from_name(get_string(root, "solver"));
   }
-  spec.chunky_fraction = get_fraction(root, "chunky_fraction", 1.0);
+  spec.chunky_fraction = get_number(root, "chunky_fraction", 1.0);
 
   // Kind-specific traffic knobs: strictly rejected when present for a
   // different kind, so a dump -> parse -> dump round trip is byte-stable
@@ -371,28 +380,15 @@ ScenarioSpec spec_from_json(const std::string& text) {
                                                     : "hot_multiplier",
                "only valid with hotspot traffic");
     }
-    spec.hot_fraction = get_fraction(root, "hot_fraction", spec.hot_fraction);
-    if (const JsonValue* mult = root.find("hot_multiplier"); mult != nullptr) {
-      if (!mult->is_number()) fail_key("hot_multiplier", "must be a number");
-      if (mult->number < 1.0 || mult->number > 1e6) {
-        fail_key("hot_multiplier", "out of range (want [1, 1e6])");
-      }
-      spec.hot_multiplier = mult->number;
-    }
+    spec.hot_fraction = get_number(root, "hot_fraction", spec.hot_fraction);
+    spec.hot_multiplier =
+        get_number(root, "hot_multiplier", spec.hot_multiplier);
   }
-  if (const JsonValue* stride = root.find("stride"); stride != nullptr) {
-    if (spec.traffic != TrafficKind::kStride) {
-      fail_key("stride", "only valid with stride traffic");
-    }
-    if (!stride->is_number()) fail_key("stride", "must be a number");
-    if (stride->number != std::floor(stride->number)) {
-      fail_key("stride", "must be an integer");
-    }
-    if (stride->number == 0 || std::abs(stride->number) > 1e9) {
-      fail_key("stride", "out of range (want non-zero integers in -1e9..1e9)");
-    }
-    spec.stride = static_cast<int>(stride->number);
+  if (root.find("stride") != nullptr &&
+      spec.traffic != TrafficKind::kStride) {
+    fail_key("stride", "only valid with stride traffic");
   }
+  spec.stride = get_integer(root, "stride", spec.stride);
 
   if (const JsonValue* failure = root.find("failure"); failure != nullptr) {
     if (!failure->is_object()) fail_key("failure", "must be an object");
@@ -401,52 +397,30 @@ ScenarioSpec spec_from_json(const std::string& text) {
                        "capacity_factor", "blast_switch_fraction",
                        "blast_probability", "class_failure_fraction",
                        "targeted_link_cuts"});
-    spec.failure.uniform.link_fraction =
-        get_fraction(*failure, "link_failure_fraction", 0.0);
-    spec.failure.uniform.switch_fraction =
-        get_fraction(*failure, "switch_failure_fraction", 0.0);
-    spec.failure.correlated.epicenter_fraction =
-        get_fraction(*failure, "blast_switch_fraction", 0.0);
-    spec.failure.correlated.peer_probability =
-        get_fraction(*failure, "blast_probability", 0.0);
+    const std::string where = "failure.";
+    FailureSpec& f = spec.failure;
+    f.uniform.link_fraction =
+        get_number(*failure, "link_failure_fraction", 0.0, where);
+    f.uniform.switch_fraction =
+        get_number(*failure, "switch_failure_fraction", 0.0, where);
+    f.correlated.epicenter_fraction =
+        get_number(*failure, "blast_switch_fraction", 0.0, where);
+    f.correlated.peer_probability =
+        get_number(*failure, "blast_probability", 0.0, where);
     if (const JsonValue* per_class = failure->find("class_failure_fraction");
         per_class != nullptr) {
       if (!per_class->is_object()) {
         fail_key("failure.class_failure_fraction", "must be an object");
       }
       for (const auto& [klass, value] : per_class->members) {
-        const std::string where = "failure.class_failure_fraction." + klass;
-        if (klass.empty()) fail_key(where, "class name must be non-empty");
-        if (!value.is_number()) fail_key(where, "must be a number");
-        if (value.number < 0.0 || value.number > 1.0) {
-          fail_key(where, "out of range (want [0, 1])");
-        }
-        spec.failure.per_class.switch_fraction[klass] = value.number;
+        f.per_class.switch_fraction[klass] = get_number(
+            *per_class, klass, 0.0, "failure.class_failure_fraction.");
       }
     }
-    if (const JsonValue* cuts = failure->find("targeted_link_cuts");
-        cuts != nullptr) {
-      if (!cuts->is_number()) {
-        fail_key("failure.targeted_link_cuts", "must be a number");
-      }
-      if (cuts->number != std::floor(cuts->number)) {
-        fail_key("failure.targeted_link_cuts", "must be an integer");
-      }
-      if (cuts->number < 0 || cuts->number > 1e9) {
-        fail_key("failure.targeted_link_cuts", "out of range (want 0..1e9)");
-      }
-      spec.failure.targeted.link_cuts = static_cast<int>(cuts->number);
-    }
-    if (const JsonValue* factor = failure->find("capacity_factor");
-        factor != nullptr) {
-      if (!factor->is_number()) {
-        fail_key("failure.capacity_factor", "must be a number");
-      }
-      if (factor->number <= 0.0 || factor->number > 1.0) {
-        fail_key("failure.capacity_factor", "out of range (want (0, 1])");
-      }
-      spec.failure.capacity_factor = factor->number;
-    }
+    f.targeted.link_cuts =
+        get_integer(*failure, "targeted_link_cuts", 0, where);
+    f.capacity_factor =
+        get_number(*failure, "capacity_factor", f.capacity_factor, where);
   }
 
   if (const JsonValue* packet = root.find("packet_sim"); packet != nullptr) {
@@ -458,48 +432,20 @@ ScenarioSpec spec_from_json(const std::string& text) {
                        "route_mode", "workload"});
     spec.packet_sim.enabled = true;
     sim::SimParams& p = spec.packet_sim.params;
-    // Integer knobs share one strict extractor; each is optional and
-    // falls back to the SimParams default.
-    const auto get_integer = [&](const char* key, double fallback,
-                                 double lo, double hi) {
-      const JsonValue* value = packet->find(key);
-      if (value == nullptr) return fallback;
-      const std::string where = std::string("packet_sim.") + key;
-      if (!value->is_number()) fail_key(where, "must be a number");
-      if (value->number != std::floor(value->number)) {
-        fail_key(where, "must be an integer");
-      }
-      if (value->number < lo || value->number > hi) {
-        fail_key(where, "out of range (want " + json_number(lo) + ".." +
-                            json_number(hi) + ")");
-      }
-      return value->number;
-    };
-    p.subflows = static_cast<int>(
-        get_integer("subflows", p.subflows, 1, 64));
-    p.queue_packets = static_cast<int>(
-        get_integer("queue_packets", p.queue_packets, 1, 1e6));
-    p.packet_bytes = static_cast<int>(
-        get_integer("packet_bytes", p.packet_bytes, 64, 65535));
-    p.duration_ns = static_cast<sim::SimTime>(get_integer(
-        "duration_ns", static_cast<double>(p.duration_ns), 1, 1e12));
-    p.warmup_ns = static_cast<sim::SimTime>(get_integer(
-        "warmup_ns", static_cast<double>(p.warmup_ns), 0, 1e12));
-    p.start_jitter_ns = static_cast<sim::SimTime>(get_integer(
-        "start_jitter_ns", static_cast<double>(p.start_jitter_ns), 0, 1e12));
-    p.link_delay_ns = static_cast<sim::SimTime>(get_integer(
-        "link_delay_ns", static_cast<double>(p.link_delay_ns), 1, 4e9));
-    if (const JsonValue* rate = packet->find("server_rate_gbps");
-        rate != nullptr) {
-      if (!rate->is_number()) {
-        fail_key("packet_sim.server_rate_gbps", "must be a number");
-      }
-      if (rate->number <= 0.0 || rate->number > 1e6) {
-        fail_key("packet_sim.server_rate_gbps",
-                 "out of range (want (0, 1e6])");
-      }
-      p.server_rate_gbps = rate->number;
-    }
+    const std::string where = "packet_sim.";
+    p.subflows = get_integer(*packet, "subflows", p.subflows, where);
+    p.queue_packets =
+        get_integer(*packet, "queue_packets", p.queue_packets, where);
+    p.packet_bytes =
+        get_integer(*packet, "packet_bytes", p.packet_bytes, where);
+    p.duration_ns = get_integer(*packet, "duration_ns", p.duration_ns, where);
+    p.warmup_ns = get_integer(*packet, "warmup_ns", p.warmup_ns, where);
+    p.start_jitter_ns =
+        get_integer(*packet, "start_jitter_ns", p.start_jitter_ns, where);
+    p.link_delay_ns =
+        get_integer(*packet, "link_delay_ns", p.link_delay_ns, where);
+    p.server_rate_gbps =
+        get_number(*packet, "server_rate_gbps", p.server_rate_gbps, where);
     if (const JsonValue* coupling = packet->find("ewtcp_coupling");
         coupling != nullptr) {
       if (!coupling->is_bool()) {
@@ -562,15 +508,8 @@ ScenarioSpec spec_from_json(const std::string& text) {
         }
         spec.packet_sim.fct.cdf = "custom";
       }
-      if (const JsonValue* load = workload->find("load"); load != nullptr) {
-        if (!load->is_number()) {
-          fail_key("packet_sim.workload.load", "must be a number");
-        }
-        if (load->number <= 0.0 || load->number > 1.0) {
-          fail_key("packet_sim.workload.load", "out of range (want (0, 1])");
-        }
-        spec.packet_sim.fct.load = load->number;
-      }
+      spec.packet_sim.fct.load = get_number(
+          *workload, "load", spec.packet_sim.fct.load, "packet_sim.workload.");
       // Pattern before fan_in: the fan-in knob is only meaningful for
       // incast arrivals, so its gating reads the parsed pattern.
       if (const JsonValue* pattern = workload->find("pattern");
@@ -580,19 +519,14 @@ ScenarioSpec spec_from_json(const std::string& text) {
         }
         spec.packet_sim.fct.pattern = pattern->text;
       }
-      if (const JsonValue* fan = workload->find("fan_in"); fan != nullptr) {
-        if (spec.packet_sim.fct.pattern != "incast") {
-          fail_key("packet_sim.workload.fan_in",
-                   "only valid with \"pattern\": \"incast\"");
-        }
-        if (!fan->is_number() || fan->number != std::floor(fan->number)) {
-          fail_key("packet_sim.workload.fan_in", "must be an integer");
-        }
-        if (fan->number < 2 || fan->number > 1e6) {
-          fail_key("packet_sim.workload.fan_in", "out of range (want 2..1e6)");
-        }
-        spec.packet_sim.fct.fan_in = static_cast<int>(fan->number);
+      if (workload->find("fan_in") != nullptr &&
+          spec.packet_sim.fct.pattern != "incast") {
+        fail_key("packet_sim.workload.fan_in",
+                 "only valid with \"pattern\": \"incast\"");
       }
+      spec.packet_sim.fct.fan_in =
+          get_integer(*workload, "fan_in", spec.packet_sim.fct.fan_in,
+                      "packet_sim.workload.");
     }
   }
 
@@ -605,34 +539,13 @@ ScenarioSpec spec_from_json(const std::string& text) {
     if (search->find("objective") != nullptr) {
       spec.search.objective = get_string(*search, "objective");
     }
-    const auto get_count = [&](const char* key, int fallback, double lo,
-                               double hi) {
-      const JsonValue* value = search->find(key);
-      if (value == nullptr) return fallback;
-      const std::string where = std::string("search.") + key;
-      if (!value->is_number()) fail_key(where, "must be a number");
-      if (value->number != std::floor(value->number)) {
-        fail_key(where, "must be an integer");
-      }
-      if (value->number < lo || value->number > hi) {
-        fail_key(where, "out of range (want " + json_number(lo) + ".." +
-                            json_number(hi) + ")");
-      }
-      return static_cast<int>(value->number);
-    };
-    spec.search.budget = get_count("budget", spec.search.budget, 0, 1e6);
-    spec.search.restarts = get_count("restarts", spec.search.restarts, 1, 1e4);
-    spec.search.population =
-        get_count("population", spec.search.population, 1, 1e4);
-    if (const JsonValue* temp = search->find("temperature"); temp != nullptr) {
-      if (!temp->is_number()) {
-        fail_key("search.temperature", "must be a number");
-      }
-      if (temp->number < 0.0 || temp->number > 1e6) {
-        fail_key("search.temperature", "out of range (want [0, 1e6])");
-      }
-      spec.search.temperature = temp->number;
-    }
+    const std::string where = "search.";
+    SearchSpec& ss = spec.search;
+    ss.budget = get_integer(*search, "budget", ss.budget, where);
+    ss.restarts = get_integer(*search, "restarts", ss.restarts, where);
+    ss.population = get_integer(*search, "population", ss.population, where);
+    ss.temperature =
+        get_number(*search, "temperature", ss.temperature, where);
     if (const JsonValue* moves = search->find("moves"); moves != nullptr) {
       if (!moves->is_array()) {
         fail_key("search.moves", "must be an array of move names");
@@ -649,43 +562,21 @@ ScenarioSpec spec_from_json(const std::string& text) {
       if (!cost->is_object()) fail_key("search.cost", "must be an object");
       require_only_keys(*cost, "search.cost.",
                         {"port", "cable", "switch", "class", "floor_columns"});
-      const auto get_weight = [&](const char* key, double fallback) {
-        const JsonValue* value = cost->find(key);
-        if (value == nullptr) return fallback;
-        const std::string where = std::string("search.cost.") + key;
-        if (!value->is_number()) fail_key(where, "must be a number");
-        if (value->number < 0.0 || value->number > 1e9) {
-          fail_key(where, "out of range (want [0, 1e9])");
-        }
-        return value->number;
-      };
-      spec.search.port_cost = get_weight("port", spec.search.port_cost);
-      spec.search.cable_cost = get_weight("cable", spec.search.cable_cost);
-      spec.search.switch_cost = get_weight("switch", spec.search.switch_cost);
+      const std::string in_cost = "search.cost.";
+      ss.port_cost = get_number(*cost, "port", ss.port_cost, in_cost);
+      ss.cable_cost = get_number(*cost, "cable", ss.cable_cost, in_cost);
+      ss.switch_cost = get_number(*cost, "switch", ss.switch_cost, in_cost);
       if (const JsonValue* classes = cost->find("class"); classes != nullptr) {
         if (!classes->is_object()) {
           fail_key("search.cost.class", "must be an object");
         }
         for (const auto& [klass, value] : classes->members) {
-          const std::string where = "search.cost.class." + klass;
-          if (klass.empty()) fail_key(where, "class name must be non-empty");
-          if (!value.is_number()) fail_key(where, "must be a number");
-          if (value.number < 0.0 || value.number > 1e9) {
-            fail_key(where, "out of range (want [0, 1e9])");
-          }
-          spec.search.class_cost[klass] = value.number;
+          ss.class_cost[klass] =
+              get_number(*classes, klass, 0.0, "search.cost.class.");
         }
       }
-      if (const JsonValue* cols = cost->find("floor_columns");
-          cols != nullptr) {
-        if (!cols->is_number() || cols->number != std::floor(cols->number)) {
-          fail_key("search.cost.floor_columns", "must be an integer");
-        }
-        if (cols->number < 1 || cols->number > 1e6) {
-          fail_key("search.cost.floor_columns", "out of range (want 1..1e6)");
-        }
-        spec.search.floor_columns = static_cast<int>(cols->number);
-      }
+      ss.floor_columns =
+          get_integer(*cost, "floor_columns", ss.floor_columns, in_cost);
     }
   }
 
@@ -701,14 +592,13 @@ ScenarioSpec spec_from_json(const std::string& text) {
       SweepAxis axis;
       axis.param = get_string(entry, "param");
       axis.values = get_number_list(entry, "values");
-      if (axis.values.empty()) fail_key(where + "values", "must be non-empty");
       axis.full_values = get_number_list(entry, "full_values");
       spec.axes.push_back(std::move(axis));
     }
   }
 
-  spec.quick_runs = get_run_count(root, "quick_runs", spec.quick_runs);
-  spec.full_runs = get_run_count(root, "full_runs", spec.full_runs);
+  spec.quick_runs = get_integer(root, "quick_runs", spec.quick_runs);
+  spec.full_runs = get_integer(root, "full_runs", spec.full_runs);
   if (const JsonValue* reuse = root.find("reuse_topology"); reuse != nullptr) {
     if (!reuse->is_bool()) fail_key("reuse_topology", "must be a boolean");
     spec.reuse_topology = reuse->boolean;
@@ -745,39 +635,32 @@ void validate_spec(const ScenarioSpec& spec) {
       fail_key("topology.params." + name, "must be finite");
     }
   }
-  // Scalar failure ranges are validated here — not only in the JSON
-  // front end — so programmatic specs get the same loud errors as files
-  // (apply_failures would reject them too, but only mid-sweep).
-  const auto check_fraction = [](const char* key, double value) {
-    if (value < 0.0 || value > 1.0) {
-      fail_key(std::string("failure.") + key, "out of range (want [0, 1])");
-    }
-  };
-  check_fraction("link_failure_fraction", spec.failure.uniform.link_fraction);
-  check_fraction("switch_failure_fraction",
-                 spec.failure.uniform.switch_fraction);
-  check_fraction("blast_switch_fraction",
-                 spec.failure.correlated.epicenter_fraction);
-  check_fraction("blast_probability",
-                 spec.failure.correlated.peer_probability);
-  for (const auto& [klass, fraction] :
-       spec.failure.per_class.switch_fraction) {
+  // Every numeric range lives here, not in the JSON front end, so a spec
+  // built in code fails exactly where its --dump-spec output would
+  // (apply_failures and the simulator would reject some values too, but
+  // only mid-sweep). Comparisons are written so NaN fails them.
+  const auto fraction = [](double v) { return v >= 0.0 && v <= 1.0; };
+  const FailureSpec& f = spec.failure;
+  check_range(fraction(f.uniform.link_fraction),
+              "failure.link_failure_fraction", "[0, 1]");
+  check_range(fraction(f.uniform.switch_fraction),
+              "failure.switch_failure_fraction", "[0, 1]");
+  check_range(fraction(f.correlated.epicenter_fraction),
+              "failure.blast_switch_fraction", "[0, 1]");
+  check_range(fraction(f.correlated.peer_probability),
+              "failure.blast_probability", "[0, 1]");
+  for (const auto& [klass, value] : f.per_class.switch_fraction) {
     if (klass.empty()) {
       fail_key("failure.class_failure_fraction",
                "class name must be non-empty");
     }
-    if (fraction < 0.0 || fraction > 1.0) {
-      fail_key("failure.class_failure_fraction." + klass,
-               "out of range (want [0, 1])");
-    }
+    check_range(fraction(value), "failure.class_failure_fraction." + klass,
+                "[0, 1]");
   }
-  if (spec.failure.targeted.link_cuts < 0) {
-    fail_key("failure.targeted_link_cuts", "out of range (want >= 0)");
-  }
-  if (spec.failure.capacity_factor <= 0.0 ||
-      spec.failure.capacity_factor > 1.0) {
-    fail_key("failure.capacity_factor", "out of range (want (0, 1])");
-  }
+  check_range(f.targeted.link_cuts >= 0 && f.targeted.link_cuts <= 1e9,
+              "failure.targeted_link_cuts", "0..1e9");
+  check_range(f.capacity_factor > 0.0 && f.capacity_factor <= 1.0,
+              "failure.capacity_factor", "(0, 1]");
   if (spec.packet_sim.enabled) {
     const sim::SimParams& p = spec.packet_sim.params;
     if (spec.packet_sim.fct.enabled) {
@@ -789,18 +672,19 @@ void validate_spec(const ScenarioSpec& spec) {
                  "unknown flow-size CDF \"" + spec.packet_sim.fct.cdf +
                      "\" (known: " + flow_size_cdf_names() + ")");
       }
-      if (spec.packet_sim.fct.load <= 0.0 || spec.packet_sim.fct.load > 1.0) {
-        fail_key("packet_sim.workload.load", "out of range (want (0, 1])");
-      }
+      check_range(spec.packet_sim.fct.load > 0.0 &&
+                      spec.packet_sim.fct.load <= 1.0,
+                  "packet_sim.workload.load", "(0, 1]");
       if (spec.packet_sim.fct.pattern != "uniform" &&
           spec.packet_sim.fct.pattern != "incast") {
         fail_key("packet_sim.workload.pattern",
                  "unknown workload pattern \"" + spec.packet_sim.fct.pattern +
                      "\" (known: uniform, incast)");
       }
-      if (spec.packet_sim.fct.pattern == "incast" &&
-          spec.packet_sim.fct.fan_in < 2) {
-        fail_key("packet_sim.workload.fan_in", "out of range (want >= 2)");
+      if (spec.packet_sim.fct.pattern == "incast") {
+        check_range(spec.packet_sim.fct.fan_in >= 2 &&
+                        spec.packet_sim.fct.fan_in <= 1e6,
+                    "packet_sim.workload.fan_in", "2..1e6");
       }
     } else if (spec.traffic != TrafficKind::kPermutation &&
                spec.traffic != TrafficKind::kStride) {
@@ -809,21 +693,24 @@ void validate_spec(const ScenarioSpec& spec) {
                "server-to-server unit-demand bulk flows) unless a workload "
                "block selects the finite-flow FCT mode");
     }
-    if (p.subflows < 1 || p.subflows > 64) {
-      fail_key("packet_sim.subflows", "out of range (want 1..64)");
-    }
-    if (p.queue_packets < 1) {
-      fail_key("packet_sim.queue_packets", "out of range (want >= 1)");
-    }
-    if (p.packet_bytes < 64) {
-      fail_key("packet_sim.packet_bytes", "out of range (want >= 64)");
-    }
+    check_range(p.subflows >= 1 && p.subflows <= 64, "packet_sim.subflows",
+                "1..64");
+    check_range(p.queue_packets >= 1 && p.queue_packets <= 1e6,
+                "packet_sim.queue_packets", "1..1e6");
+    check_range(p.packet_bytes >= 64 && p.packet_bytes <= 65535,
+                "packet_sim.packet_bytes", "64..65535");
+    check_range(p.duration_ns >= 1 && p.duration_ns <= 1e12,
+                "packet_sim.duration_ns", "1..1e12");
+    check_range(p.warmup_ns <= 1e12, "packet_sim.warmup_ns", "0..1e12");
+    check_range(p.start_jitter_ns <= 1e12, "packet_sim.start_jitter_ns",
+                "0..1e12");
+    check_range(p.link_delay_ns >= 1 && p.link_delay_ns <= 4e9,
+                "packet_sim.link_delay_ns", "1..4e9");
     if (p.warmup_ns >= p.duration_ns) {
       fail_key("packet_sim.warmup_ns", "must be below duration_ns");
     }
-    if (p.server_rate_gbps <= 0.0) {
-      fail_key("packet_sim.server_rate_gbps", "out of range (want > 0)");
-    }
+    check_range(p.server_rate_gbps > 0.0 && p.server_rate_gbps <= 1e6,
+                "packet_sim.server_rate_gbps", "(0, 1e6]");
   }
   if (spec.search.enabled) {
     // A spec either sweeps or searches: axes bind sweep points, while the
@@ -839,18 +726,15 @@ void validate_spec(const ScenarioSpec& spec) {
                "unknown objective \"" + spec.search.objective +
                    "\" (known: throughput_per_cost, throughput)");
     }
-    if (spec.search.budget < 0) {
-      fail_key("search.budget", "out of range (want >= 0)");
-    }
-    if (spec.search.restarts < 1) {
-      fail_key("search.restarts", "out of range (want >= 1)");
-    }
-    if (spec.search.population < 1) {
-      fail_key("search.population", "out of range (want >= 1)");
-    }
-    if (spec.search.temperature < 0.0) {
-      fail_key("search.temperature", "out of range (want >= 0)");
-    }
+    const SearchSpec& ss = spec.search;
+    check_range(ss.budget >= 0 && ss.budget <= 1e6, "search.budget",
+                "0..1e6");
+    check_range(ss.restarts >= 1 && ss.restarts <= 1e4, "search.restarts",
+                "1..1e4");
+    check_range(ss.population >= 1 && ss.population <= 1e4,
+                "search.population", "1..1e4");
+    check_range(ss.temperature >= 0.0 && ss.temperature <= 1e6,
+                "search.temperature", "[0, 1e6]");
     if (spec.search.moves.empty()) {
       fail_key("search.moves", "must be non-empty");
     }
@@ -860,26 +744,18 @@ void validate_spec(const ScenarioSpec& spec) {
                                      "\" (known: rewire, server_shift)");
       }
     }
-    const auto check_weight = [](const char* key, double value) {
-      if (value < 0.0) {
-        fail_key(std::string("search.cost.") + key,
-                 "out of range (want >= 0)");
-      }
-    };
-    check_weight("port", spec.search.port_cost);
-    check_weight("cable", spec.search.cable_cost);
-    check_weight("switch", spec.search.switch_cost);
-    for (const auto& [klass, value] : spec.search.class_cost) {
+    const auto weight = [](double v) { return v >= 0.0 && v <= 1e9; };
+    check_range(weight(ss.port_cost), "search.cost.port", "[0, 1e9]");
+    check_range(weight(ss.cable_cost), "search.cost.cable", "[0, 1e9]");
+    check_range(weight(ss.switch_cost), "search.cost.switch", "[0, 1e9]");
+    for (const auto& [klass, value] : ss.class_cost) {
       if (klass.empty()) {
         fail_key("search.cost.class", "class name must be non-empty");
       }
-      if (value < 0.0) {
-        fail_key("search.cost.class." + klass, "out of range (want >= 0)");
-      }
+      check_range(weight(value), "search.cost.class." + klass, "[0, 1e9]");
     }
-    if (spec.search.floor_columns < 1) {
-      fail_key("search.cost.floor_columns", "out of range (want >= 1)");
-    }
+    check_range(ss.floor_columns >= 1 && ss.floor_columns <= 1e6,
+                "search.cost.floor_columns", "1..1e6");
   }
   for (std::size_t a = 0; a < spec.axes.size(); ++a) {
     const SweepAxis& axis = spec.axes[a];
@@ -1017,18 +893,16 @@ void validate_spec(const ScenarioSpec& spec) {
     check_values(axis.values, "values");
     check_values(axis.full_values, "full_values");
   }
-  require(spec.quick_runs >= 1,
-          "spec key \"quick_runs\": out of range (want >= 1)");
-  require(spec.full_runs >= 1,
-          "spec key \"full_runs\": out of range (want >= 1)");
-  require(spec.chunky_fraction >= 0.0 && spec.chunky_fraction <= 1.0,
-          "spec key \"chunky_fraction\": out of range (want [0, 1])");
-  require(spec.hot_fraction >= 0.0 && spec.hot_fraction <= 1.0,
-          "spec key \"hot_fraction\": out of range (want [0, 1])");
-  require(spec.hot_multiplier >= 1.0 && spec.hot_multiplier <= 1e6,
-          "spec key \"hot_multiplier\": out of range (want [1, 1e6])");
-  require(spec.stride != 0,
-          "spec key \"stride\": out of range (want non-zero)");
+  check_range(spec.quick_runs >= 1 && spec.quick_runs <= 1e6, "quick_runs",
+              "1..1e6");
+  check_range(spec.full_runs >= 1 && spec.full_runs <= 1e6, "full_runs",
+              "1..1e6");
+  check_range(fraction(spec.chunky_fraction), "chunky_fraction", "[0, 1]");
+  check_range(fraction(spec.hot_fraction), "hot_fraction", "[0, 1]");
+  check_range(spec.hot_multiplier >= 1.0 && spec.hot_multiplier <= 1e6,
+              "hot_multiplier", "[1, 1e6]");
+  check_range(spec.stride != 0 && spec.stride >= -1e9 && spec.stride <= 1e9,
+              "stride", "non-zero integers in -1e9..1e9");
 }
 
 ScenarioSpec load_spec_file(const std::string& path) {

@@ -246,9 +246,8 @@ SweepResult SweepRunner::run() const {
       return evaluate_throughput(*slot.topology, plan.options,
                                  plan.traffic_seed, ranking);
     } catch (const ConstructionFailure&) {
-      // Infeasible zero run (extreme parameter corners), like
-      // run_experiment. Cached too: the outcome is as deterministic as
-      // any other cell's.
+      // Infeasible zero run (extreme parameter corners). Cached too: the
+      // outcome is as deterministic as any other cell's.
       return {};
     }
   };
@@ -294,6 +293,20 @@ SweepResult SweepRunner::run() const {
     result.points.push_back(std::move(point));
   }
   return result;
+}
+
+SweepResult run_point(const TopologySpec& topology, TrafficKind traffic,
+                      double chunky_fraction, const SweepRunConfig& config) {
+  require(config.shard_count == 1 && !config.merge_only,
+          "a single data point runs unsharded");
+  ScenarioSpec spec;
+  spec.name = topology.family;
+  spec.topology = topology;
+  spec.traffic = traffic;
+  spec.chunky_fraction = chunky_fraction;
+  // With no axes, reuse seeds every run from the master seed itself.
+  spec.reuse_topology = true;
+  return SweepRunner(spec, config).run();
 }
 
 TablePrinter sweep_table(const SweepResult& result) {

@@ -4,8 +4,9 @@
 // (sweep-point × run) cell with deterministic seed derivation, hands the
 // grid to the CellExecutor (cell_executor.h: cache, stripe, pool), and
 // reduces results in (point, run) order — so a sweep's numbers are
-// bit-identical for any thread count, and a single-point sweep matches
-// run_experiment with the derived point seed.
+// bit-identical for any thread count. run_point evaluates one data point
+// (a figure's, or a bisection probe's) as a one-point sweep, so every
+// figure cell runs through the same executor and cache as sweep cells.
 #ifndef TOPODESIGN_SCENARIO_SWEEP_H
 #define TOPODESIGN_SCENARIO_SWEEP_H
 
@@ -105,8 +106,7 @@ class SweepRunner {
   /// Evaluates every (point, run) cell on the shared pool and reduces.
   /// Seed fan-out: point p gets point_seed = derive_seed(master, p); run r
   /// of that point evaluates with topology seed derive_seed(point_seed, 2r)
-  /// and traffic seed derive_seed(point_seed, 2r + 1) — exactly
-  /// run_experiment's fan-out, so one point reproduces run_experiment.
+  /// and traffic seed derive_seed(point_seed, 2r + 1).
   /// With spec.reuse_topology (eval-side axes only), run r's entire
   /// stream is point-independent instead — topology seed
   /// derive_seed(master, 2r), traffic seed derive_seed(master, 2r + 1) —
@@ -129,6 +129,20 @@ class SweepRunner {
   const ScenarioSpec* spec_;
   SweepRunConfig config_;
 };
+
+/// Evaluates one data point: `topology` under `traffic` (at
+/// `chunky_fraction`), config.runs runs from point seed S =
+/// config.master_seed, as a one-point sweep with reuse_topology set. Run
+/// r therefore evaluates with topology seed derive_seed(S, 2r) and
+/// traffic seed derive_seed(S, 2r + 1), and its cell has the address of
+/// the equal cell of any sweep. The config's epsilon, cache dir and
+/// solver override apply; it must be unsharded and not merge-only, so the
+/// result always holds exactly one point. Construction failures count as
+/// infeasible runs; an InvalidArgument from a build propagates.
+[[nodiscard]] SweepResult run_point(const TopologySpec& topology,
+                                    TrafficKind traffic,
+                                    double chunky_fraction,
+                                    const SweepRunConfig& config);
 
 /// Renders a sweep result as the standard table: one column per axis, then
 /// lambda/dual/utilization summaries and the infeasible-run count.

@@ -3,10 +3,29 @@
 #include <iostream>
 
 #include "core/topobench.h"
+#include "scenario/sweep.h"
 #include "util/error.h"
 #include "util/exit_codes.h"
 
 namespace topo::search {
+namespace {
+
+// `runs` runs of `family` at `params` from point seed `seed`: one data
+// point through the sweep cell path (scenario::run_point).
+ExperimentStats point_stats(const std::string& family,
+                            scenario::ParamMap params, double epsilon,
+                            int runs, std::uint64_t seed) {
+  scenario::SweepRunConfig config;
+  config.runs = runs;
+  config.epsilon = epsilon;
+  config.master_seed = seed;
+  return scenario::run_point({family, std::move(params)},
+                             TrafficKind::kPermutation, 1.0, config)
+      .points.front()
+      .stats;
+}
+
+}  // namespace
 
 int vl2_rewiring_case_study(int argc, const char* const* argv,
                             std::ostream& os) {
@@ -16,6 +35,7 @@ int vl2_rewiring_case_study(int argc, const char* const* argv,
     params.d_a = flags.get_int("da", 12);
     params.d_i = flags.get_int("di", 12);
     const int runs = flags.get_int("runs", 3);
+    require(runs >= 1, "--runs must be >= 1");
 
     os << "== VL2 rewiring case study ==\n\n";
     os << "Equipment: " << params.d_i << " aggregation switches ("
@@ -36,17 +56,21 @@ int vl2_rewiring_case_study(int argc, const char* const* argv,
     os << "Solver check on VL2 at nominal size: lambda = " << vl2_result.lambda
        << " (expected ~1.0)\n\n";
 
-    // Binary search the rewired design.
-    FullThroughputSearch search;
-    search.builder = [&](int tors, std::uint64_t seed) {
-      return rewired_vl2_topology(params, tors, seed);
+    // Binary search the rewired design: a ToR count passes when every
+    // run reaches lambda >= 0.95, all probes drawing from point seed 17.
+    const auto probe = [&](int tors) {
+      try {
+        const ExperimentStats stats = point_stats(
+            "rewired_vl2",
+            {{"d_a", params.d_a}, {"d_i", params.d_i}, {"tors", tors}},
+            options.flow.epsilon, runs, /*seed=*/17);
+        return stats.infeasible_runs == 0 && stats.lambda.min >= 0.95;
+      } catch (const InvalidArgument&) {
+        return false;  // ToR count beyond what the pool can host
+      }
     };
-    search.min_tors = nominal / 2;
-    search.max_tors = rewired_vl2_max_tors(params);
-    search.threshold = 0.95;
-    search.runs = runs;
-    search.options = options;
-    const int rewired = max_tors_at_full_throughput(search, /*master_seed=*/17);
+    const int rewired = max_tors_at_full_throughput(
+        nominal / 2, rewired_vl2_max_tors(params), probe);
 
     os << "Rewired pool supports " << rewired << " ToRs (" << 20 * rewired
        << " servers) at full throughput across " << runs << " runs.\n";
@@ -94,10 +118,15 @@ int heterogeneous_design_case_study(int argc, const char* const* argv,
     for (double x : {0.5, 0.75, 1.0, 1.25, 1.5, 2.0}) {
       const TwoTypeSpec spec = with_server_split(base, servers, x);
       if (spec.servers_per_large >= spec.large_ports) continue;
-      const TopologyBuilder builder = [spec](std::uint64_t seed) {
-        return build_two_type(spec, seed);
-      };
-      const ExperimentStats stats = run_experiment(builder, options, runs, 7);
+      const ExperimentStats stats = point_stats(
+          "two_type",
+          {{"num_large", base.num_large},
+           {"num_small", base.num_small},
+           {"large_ports", base.large_ports},
+           {"small_ports", base.small_ports},
+           {"total_servers", servers},
+           {"placement_ratio", x}},
+          options.flow.epsilon, runs, /*seed=*/7);
       placement.add_row({x, static_cast<long long>(spec.servers_per_large),
                          static_cast<long long>(spec.servers_per_small),
                          stats.lambda.mean});

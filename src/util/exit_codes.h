@@ -1,6 +1,6 @@
 // Process exit-code taxonomy shared by the CLI and the orchestrator.
 //
-// One header so every surface — `topobench`, the thin bench binaries,
+// One header so every surface — `topobench`, the bench binaries,
 // and the orchestrator supervising shard workers — means the same thing
 // by the same code, and scripts/CI can branch on outcomes instead of
 // grepping stderr:

@@ -85,7 +85,8 @@ void on_cell_stored() {
   if (stored_count().fetch_add(1) + 1 >= config().threshold) {
     // SIGKILL to self: unhandleable, no destructors, no atexit — the
     // truest crash available without pulling the power cord. The just-
-    // published cell survives in the cache; nothing else does.
+    // published cell survives in the cache, and so may stores racing it
+    // on other pool threads.
     ::kill(::getpid(), SIGKILL);
     park_forever();  // unreachable; keeps the compiler honest
   }

@@ -1,4 +1,4 @@
-// Deterministic fault injection for robustness tests and CI chaos jobs.
+// Fault injection for robustness tests and CI chaos jobs.
 //
 // The `TOPOBENCH_FAULT` environment variable arms exactly one fault,
 // honored at named points in the sweep/cache hot path. The hooks are
@@ -10,7 +10,10 @@
 //   crash_after_cells:M   after the M-th cache-cell store completes,
 //                         deliver SIGKILL to self — a crash-consistent
 //                         death (no destructors, no atexit), exactly the
-//                         worker failure the orchestrator must survive
+//                         worker failure the orchestrator must survive.
+//                         Which cells were published is exact at one
+//                         thread (TOPOBENCH_THREADS=1); at more, stores
+//                         racing the M-th may also land before the kill
 //   stall_after_cells:M   after the M-th evaluated cell, every evaluation
 //                         thread parks forever: the process stays alive
 //                         but its progress heartbeat goes silent, which

@@ -1,12 +1,15 @@
-// Tests for the core evaluation / experiment-runner layer.
+// Tests for the core evaluation / experiment layer: single evaluations,
+// data points run through the sweep cell path, and the Fig-12 bisection.
 #include <gtest/gtest.h>
 
 #include "core/evaluate.h"
 #include "core/experiment.h"
 #include "flow/bottleneck.h"
+#include "scenario/sweep.h"
 #include "topo/het_random.h"
 #include "topo/random_regular.h"
 #include "topo/vl2.h"
+#include "util/rng.h"
 
 namespace topo {
 namespace {
@@ -60,11 +63,25 @@ TEST(Evaluate, DifferentTrafficSeedsDiffer) {
   EXPECT_NE(a.lambda, b.lambda);
 }
 
+// `runs` runs of `family` at `params` from point seed `seed`: one data
+// point through the sweep cell path.
+ExperimentStats point_stats(const std::string& family,
+                            scenario::ParamMap params, int runs,
+                            std::uint64_t seed, double epsilon = 0.08) {
+  scenario::SweepRunConfig config;
+  config.runs = runs;
+  config.epsilon = epsilon;
+  config.master_seed = seed;
+  return scenario::run_point({family, std::move(params)},
+                             TrafficKind::kPermutation, 1.0, config)
+      .points.front()
+      .stats;
+}
+
+const scenario::ParamMap kRrg14 = {{"n", 14}, {"ports", 8}, {"degree", 5}};
+
 TEST(Experiment, AggregatesOverRuns) {
-  const TopologyBuilder builder = [](std::uint64_t seed) {
-    return random_regular_topology(14, 8, 5, seed);
-  };
-  const ExperimentStats stats = run_experiment(builder, quick_eval(), 4, 99);
+  const ExperimentStats stats = point_stats("random_regular", kRrg14, 4, 99);
   EXPECT_EQ(stats.lambda.count, 4u);
   EXPECT_GT(stats.lambda.mean, 0.0);
   EXPECT_EQ(stats.infeasible_runs, 0);
@@ -72,11 +89,8 @@ TEST(Experiment, AggregatesOverRuns) {
 }
 
 TEST(Experiment, DeterministicForMasterSeed) {
-  const TopologyBuilder builder = [](std::uint64_t seed) {
-    return random_regular_topology(14, 8, 5, seed);
-  };
-  const ExperimentStats a = run_experiment(builder, quick_eval(), 3, 5);
-  const ExperimentStats b = run_experiment(builder, quick_eval(), 3, 5);
+  const ExperimentStats a = point_stats("random_regular", kRrg14, 3, 5);
+  const ExperimentStats b = point_stats("random_regular", kRrg14, 3, 5);
   EXPECT_DOUBLE_EQ(a.lambda.mean, b.lambda.mean);
   EXPECT_DOUBLE_EQ(a.utilization.mean, b.utilization.mean);
 }
@@ -84,88 +98,86 @@ TEST(Experiment, DeterministicForMasterSeed) {
 TEST(Experiment, RunToRunVarianceIsModest) {
   // The paper reports ~1% standard deviations; at our small test scale we
   // allow more, but variance should still be far below the mean.
-  const TopologyBuilder builder = [](std::uint64_t seed) {
-    return random_regular_topology(20, 10, 6, seed);
-  };
-  const ExperimentStats stats = run_experiment(builder, quick_eval(), 6, 17);
+  const ExperimentStats stats = point_stats(
+      "random_regular", {{"n", 20}, {"ports", 10}, {"degree", 6}}, 6, 17);
   EXPECT_LT(stats.lambda.stdev, 0.15 * stats.lambda.mean);
 }
 
 TEST(Experiment, VL2NominalIsNearFullThroughput) {
   // VL2 at its nominal size is non-oversubscribed by construction: the
   // solver's certified lower bound should be close to 1.
-  Vl2Params params;
-  params.d_a = 8;
-  params.d_i = 8;
-  const TopologyBuilder builder = [&](std::uint64_t) {
-    return vl2_topology(params);
-  };
-  EvalOptions o = quick_eval();
-  o.flow.epsilon = 0.05;
-  const ExperimentStats stats = run_experiment(builder, o, 3, 3);
+  const ExperimentStats stats =
+      point_stats("vl2", {{"d_a", 8}, {"d_i", 8}}, 3, 3, /*epsilon=*/0.05);
   EXPECT_GE(stats.lambda.min, 0.93);
   EXPECT_LE(stats.lambda.max, 1.02);
 }
 
-TEST(FullThroughputSearch, FindsCapacityStep) {
-  // Builder: a dumbbell whose capacity supports at most 6 "ToRs" at full
+// Two switches joined by one link of `capacity`, each hosting `tors`
+// one-server "ToRs".
+BuiltTopology dumbbell(double capacity, int tors) {
+  BuiltTopology t;
+  t.graph = Graph(2);
+  t.graph.add_edge(0, 1, capacity);
+  t.servers.per_switch = {tors, tors};
+  t.node_class = {0, 0};
+  t.class_names = {"switch"};
+  return t;
+}
+
+// True when every run's lambda reaches `threshold`, run r drawing traffic
+// seed derive_seed(seed, 2r + 1) as run r of a data point does (the
+// dumbbell ignores its topology seed).
+bool every_run_reaches(const BuiltTopology& t, const EvalOptions& options,
+                       int runs, double threshold, std::uint64_t seed) {
+  for (int r = 0; r < runs; ++r) {
+    const std::uint64_t traffic_seed =
+        Rng::derive_seed(seed, 2 * static_cast<std::uint64_t>(r) + 1);
+    const ThroughputResult result =
+        evaluate_throughput(t, options, traffic_seed);
+    if (!result.feasible || result.lambda < threshold) return false;
+  }
+  return true;
+}
+
+TEST(FullThroughputBisection, FindsCapacityStep) {
+  // A dumbbell whose capacity supports at most 6 "ToRs" at full
   // throughput (each ToR = 1 server on each side, crossing demand).
-  FullThroughputSearch search;
-  search.builder = [](int tors, std::uint64_t) {
-    BuiltTopology t;
-    t.graph = Graph(2);
-    t.graph.add_edge(0, 1, 6.0);
-    t.servers.per_switch = {tors, tors};
-    t.node_class = {0, 0};
-    t.class_names = {"switch"};
-    return t;
-  };
-  search.min_tors = 1;
-  search.max_tors = 40;
-  search.threshold = 0.93;
-  search.runs = 2;
-  search.options.flow.epsilon = 0.05;
+  EvalOptions options;
+  options.flow.epsilon = 0.05;
   // Permutation over 2*tors servers: about half the flows cross the
   // dumbbell in each direction => full throughput while tors <~ 6.
-  const int found = max_tors_at_full_throughput(search, 77);
+  const int found = max_tors_at_full_throughput(1, 40, [&](int tors) {
+    return every_run_reaches(dumbbell(6.0, tors), options, 2, 0.93, 77);
+  });
   EXPECT_GE(found, 5);
   EXPECT_LE(found, 13);
 }
 
-TEST(FullThroughputSearch, ReturnsBelowMinWhenImpossible) {
-  FullThroughputSearch search;
-  search.builder = [](int tors, std::uint64_t) {
-    BuiltTopology t;
-    t.graph = Graph(2);
-    t.graph.add_edge(0, 1, 0.01);
-    t.servers.per_switch = {tors, tors};
-    t.node_class = {0, 0};
-    t.class_names = {"switch"};
-    return t;
-  };
-  search.min_tors = 2;
-  search.max_tors = 10;
-  search.runs = 1;
+TEST(FullThroughputBisection, ReturnsBelowMinWhenImpossible) {
   // Chunky traffic always crosses ToRs (a server permutation over two
   // 2-server switches can land entirely intra-switch and trivially pass).
-  search.options.traffic = TrafficKind::kChunky;
-  search.options.chunky_fraction = 1.0;
-  EXPECT_EQ(max_tors_at_full_throughput(search, 1), 1);
+  EvalOptions options;
+  options.traffic = TrafficKind::kChunky;
+  options.chunky_fraction = 1.0;
+  EXPECT_EQ(max_tors_at_full_throughput(2, 10,
+                                        [&](int tors) {
+                                          return every_run_reaches(
+                                              dumbbell(0.01, tors), options,
+                                              1, 0.95, 1);
+                                        }),
+            1);
 }
 
-TEST(FullThroughputSearch, Monotone) {
+TEST(FullThroughputBisection, Monotone) {
   // Larger max range cannot reduce the found value.
-  FullThroughputSearch search;
-  search.builder = [](int tors, std::uint64_t seed) {
-    return rewired_vl2_topology({.d_a = 8, .d_i = 8}, tors, seed);
+  const auto probe = [](int tors) {
+    const ExperimentStats stats = point_stats(
+        "rewired_vl2", {{"d_a", 8}, {"d_i", 8}, {"tors", tors}}, 1, 5);
+    return stats.infeasible_runs == 0 && stats.lambda.min >= 0.9;
   };
-  search.min_tors = 4;
-  search.max_tors = 20;
-  search.runs = 1;
-  search.threshold = 0.9;
-  const int small_range = max_tors_at_full_throughput(search, 5);
-  search.max_tors = rewired_vl2_max_tors({.d_a = 8, .d_i = 8});
-  const int large_range = max_tors_at_full_throughput(search, 5);
+  const int small_range = max_tors_at_full_throughput(4, 20, probe);
+  const int large_range = max_tors_at_full_throughput(
+      4, rewired_vl2_max_tors({.d_a = 8, .d_i = 8}), probe);
   EXPECT_GE(large_range, small_range);
 }
 

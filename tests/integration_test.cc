@@ -7,6 +7,7 @@
 #include "core/evaluate.h"
 #include "core/experiment.h"
 #include "graph/algorithms.h"
+#include "scenario/sweep.h"
 #include "sim/network.h"
 #include "topo/het_random.h"
 #include "topo/random_regular.h"
@@ -22,9 +23,35 @@ EvalOptions quick_eval(double eps = 0.08) {
   return o;
 }
 
-double mean_lambda(const TopologyBuilder& builder, const EvalOptions& o,
+// `runs` runs of `family` at `params` from point seed `seed`: one data
+// point through the sweep cell path.
+ExperimentStats point_stats(const std::string& family,
+                            scenario::ParamMap params, int runs,
+                            std::uint64_t seed, double epsilon = 0.08) {
+  scenario::SweepRunConfig config;
+  config.runs = runs;
+  config.epsilon = epsilon;
+  config.master_seed = seed;
+  return scenario::run_point({family, std::move(params)},
+                             TrafficKind::kPermutation, 1.0, config)
+      .points.front()
+      .stats;
+}
+
+double mean_lambda(const std::string& family, scenario::ParamMap params,
                    int runs, std::uint64_t seed) {
-  return run_experiment(builder, o, runs, seed).lambda.mean;
+  return point_stats(family, std::move(params), runs, seed).lambda.mean;
+}
+
+// The two_type family at `spec`'s explicit server split.
+scenario::ParamMap two_type_params(const TwoTypeSpec& spec) {
+  return {{"num_large", spec.num_large},
+          {"num_small", spec.num_small},
+          {"large_ports", spec.large_ports},
+          {"small_ports", spec.small_ports},
+          {"servers_per_large", spec.servers_per_large},
+          {"servers_per_small", spec.servers_per_small},
+          {"cross_fraction", spec.cross_fraction}};
 }
 
 // --- Fig 1/2 mini: RRGs close to the throughput upper bound -------------
@@ -36,10 +63,9 @@ TEST(Integration, RrgNearThroughputBoundAtModerateDensity) {
   const int n = 20;
   const int r = 10;
   const int servers = 5;
-  const TopologyBuilder builder = [&](std::uint64_t seed) {
-    return random_regular_topology(n, r + servers, r, seed);
-  };
-  const ExperimentStats stats = run_experiment(builder, quick_eval(0.05), 3, 1);
+  const ExperimentStats stats = point_stats(
+      "random_regular", {{"n", n}, {"ports", r + servers}, {"degree", r}}, 3,
+      1, /*epsilon=*/0.05);
   const double bound = homogeneous_throughput_upper_bound(
       n, r, static_cast<double>(n * servers));
   EXPECT_LE(stats.lambda.mean, bound * 1.001);
@@ -59,10 +85,9 @@ TEST(Integration, RrgAsplWithinTenPercentOfLowerBound) {
 TEST(Integration, DenserRrgHasHigherThroughput) {
   const int servers = 5;
   auto lambda_at_degree = [&](int r) {
-    const TopologyBuilder builder = [&](std::uint64_t seed) {
-      return random_regular_topology(20, r + servers, r, seed);
-    };
-    return mean_lambda(builder, quick_eval(), 2, 3);
+    return mean_lambda("random_regular",
+                       {{"n", 20}, {"ports", r + servers}, {"degree", r}}, 2,
+                       3);
   };
   EXPECT_LT(lambda_at_degree(4), lambda_at_degree(8));
   EXPECT_LT(lambda_at_degree(8), lambda_at_degree(14));
@@ -77,14 +102,11 @@ TEST(Integration, RrgBeatsHypercubeSameEquipment) {
   const int dim = 6;
   const int n = 1 << dim;
   const int servers = 3;
-  const TopologyBuilder rrg = [&](std::uint64_t seed) {
-    return random_regular_topology(n, dim + servers, dim, seed);
-  };
-  const TopologyBuilder cube = [&](std::uint64_t) {
-    return hypercube_topology(dim, servers);
-  };
-  const double rrg_lambda = mean_lambda(rrg, quick_eval(), 3, 7);
-  const double cube_lambda = mean_lambda(cube, quick_eval(), 3, 7);
+  const double rrg_lambda = mean_lambda(
+      "random_regular", {{"n", n}, {"ports", dim + servers}, {"degree", dim}},
+      3, 7);
+  const double cube_lambda = mean_lambda(
+      "hypercube", {{"dim", dim}, {"servers_per_switch", servers}}, 3, 7);
   EXPECT_GT(rrg_lambda, 1.05 * cube_lambda);
 }
 
@@ -99,11 +121,10 @@ TEST(Integration, ProportionalServerPlacementBeatsSkewed) {
   const int total_servers = 60;
 
   auto lambda_at_ratio = [&](double ratio) {
-    const TwoTypeSpec spec = with_server_split(base, total_servers, ratio);
-    const TopologyBuilder builder = [spec](std::uint64_t seed) {
-      return build_two_type(spec, seed);
-    };
-    return mean_lambda(builder, quick_eval(), 3, 11);
+    return mean_lambda("two_type",
+                       two_type_params(
+                           with_server_split(base, total_servers, ratio)),
+                       3, 11);
   };
   const double proportional = lambda_at_ratio(1.0);
   EXPECT_GT(proportional, lambda_at_ratio(0.45) * 1.02);
@@ -123,11 +144,7 @@ TEST(Integration, CrossClusterPlateauAndCollapse) {
 
   auto lambda_at_fraction = [&](double fraction) {
     spec.cross_fraction = fraction;
-    const TwoTypeSpec copy = spec;
-    const TopologyBuilder builder = [copy](std::uint64_t seed) {
-      return build_two_type(copy, seed);
-    };
-    return mean_lambda(builder, quick_eval(), 3, 13);
+    return mean_lambda("two_type", two_type_params(spec), 3, 13);
   };
   const double vanilla = lambda_at_fraction(1.0);
   const double reduced = lambda_at_fraction(0.6);
@@ -178,11 +195,7 @@ TEST(Integration, ThroughputLinearInScarceCrossCut) {
 
   auto lambda_at = [&](double fraction) {
     spec.cross_fraction = fraction;
-    const TwoTypeSpec copy = spec;
-    const TopologyBuilder builder = [copy](std::uint64_t seed) {
-      return build_two_type(copy, seed);
-    };
-    return mean_lambda(builder, quick_eval(), 3, 31);
+    return mean_lambda("two_type", two_type_params(spec), 3, 31);
   };
   const double at_10 = lambda_at(0.10);
   const double at_20 = lambda_at(0.20);
@@ -197,16 +210,13 @@ TEST(Integration, RewiredVl2BeatsVl2) {
   params.d_i = 8;
   const int nominal = vl2_nominal_tors(params);  // 16
 
-  FullThroughputSearch search;
-  search.builder = [&](int tors, std::uint64_t seed) {
-    return rewired_vl2_topology(params, tors, seed);
-  };
-  search.min_tors = nominal;
-  search.max_tors = rewired_vl2_max_tors(params);
-  search.threshold = 0.92;
-  search.runs = 2;
-  search.options.flow.epsilon = 0.05;
-  const int rewired = max_tors_at_full_throughput(search, 23);
+  const int rewired = max_tors_at_full_throughput(
+      nominal, rewired_vl2_max_tors(params), [](int tors) {
+        const ExperimentStats stats = point_stats(
+            "rewired_vl2", {{"d_a", 8}, {"d_i", 8}, {"tors", tors}}, 2, 23,
+            /*epsilon=*/0.05);
+        return stats.infeasible_runs == 0 && stats.lambda.min >= 0.92;
+      });
   EXPECT_GE(rewired, nominal);  // at least as good, typically better
 }
 

@@ -192,7 +192,11 @@ TEST(Orchestrator, RetryExhaustionEmitsManifestAndPartialExit) {
   const ScenarioSpec spec = tiny_spec();
   const std::string dir = fresh_dir("exhaust");
   OrchestratorConfig config = base_config(write_spec(spec, dir), dir);
-  config.worker_env = {{fault::kFaultEnvVar, "crash_after_cells:1"}};
+  // One evaluation thread per worker: with more, the stripe's other store
+  // can land before the SIGKILL, and the published-cell counts below
+  // would depend on timing.
+  config.worker_env = {{fault::kFaultEnvVar, "crash_after_cells:1"},
+                       {"TOPOBENCH_THREADS", "1"}};
   config.max_retries = 0;  // first crash abandons the stripe
 
   std::ostringstream os;

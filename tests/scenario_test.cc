@@ -1,9 +1,10 @@
 // Scenario-engine unit tests: registry contents and lookup, sweep
-// enumeration, deterministic seed fan-out (including the contract that a
-// single-point sweep equals run_experiment), axis binding, and the
-// machine-readable JSON emission.
+// enumeration, deterministic seed fan-out (including run_point's one-point
+// contract), axis binding, the figures' cell path and flag rejection, and
+// the machine-readable JSON emission.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <sstream>
 #include <vector>
 
@@ -11,7 +12,6 @@
 #include "scenario/scenario.h"
 #include "scenario/sweep.h"
 #include "scenario/topo_registry.h"
-#include "topo/random_regular.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -106,26 +106,116 @@ TEST(Sweep, DeterministicAcrossInvocations) {
   }
 }
 
-TEST(Sweep, SinglePointMatchesRunExperiment) {
-  // The documented seed fan-out contract: point p draws
-  // point_seed = derive_seed(master, p), and its runs reproduce
-  // run_experiment(builder, options, runs, point_seed) exactly.
-  ScenarioSpec spec = tiny_rrg_spec();
-  spec.axes.clear();  // one implicit point
+TEST(Sweep, RunPointSeedsRunsFromThePointSeed) {
+  // The documented one-point fan-out: run r of run_point builds with
+  // topology seed derive_seed(S, 2r) and draws traffic with seed
+  // derive_seed(S, 2r + 1), S being the config's master seed.
   const SweepRunConfig config = tiny_config();
-  const SweepResult sweep = SweepRunner(spec, config).run();
-  ASSERT_EQ(sweep.points.size(), 1u);
+  const ParamMap params{{"n", 12}, {"ports", 6}, {"degree", 4}};
+  const SweepResult point = run_point({"random_regular", params},
+                                      TrafficKind::kPermutation, 1.0, config);
+  ASSERT_EQ(point.points.size(), 1u);
 
-  const TopologyBuilder builder = [](std::uint64_t seed) {
-    return random_regular_topology(12, 6, 4, seed);
-  };
   EvalOptions options;
   options.flow.epsilon = config.epsilon;
-  const ExperimentStats direct = run_experiment(
-      builder, options, config.runs, Rng::derive_seed(config.master_seed, 0));
-  EXPECT_EQ(sweep.points[0].stats.lambda.mean, direct.lambda.mean);
-  EXPECT_EQ(sweep.points[0].stats.dual_bound.mean, direct.dual_bound.mean);
-  EXPECT_EQ(sweep.points[0].stats.utilization.mean, direct.utilization.mean);
+  std::vector<ThroughputResult> direct;
+  for (int r = 0; r < config.runs; ++r) {
+    const std::uint64_t run = static_cast<std::uint64_t>(r);
+    direct.push_back(evaluate_throughput(
+        find_family("random_regular")
+            ->build(params, Rng::derive_seed(config.master_seed, 2 * run)),
+        options, Rng::derive_seed(config.master_seed, 2 * run + 1)));
+  }
+  const ExperimentStats expected = summarize_runs(direct);
+  const ExperimentStats& stats = point.points[0].stats;
+  EXPECT_EQ(stats.lambda.count, static_cast<std::size_t>(config.runs));
+  EXPECT_EQ(stats.lambda.mean, expected.lambda.mean);
+  EXPECT_EQ(stats.lambda.min, expected.lambda.min);
+  EXPECT_EQ(stats.dual_bound.mean, expected.dual_bound.mean);
+  EXPECT_EQ(stats.utilization.mean, expected.utilization.mean);
+}
+
+// Runs a registered figure in golden mode (one run, seed 1) and returns
+// its stdout; `json` receives the recorded tables, `err` its stderr.
+std::string run_figure(const std::string& name, const std::string& cache_dir,
+                       std::string* json, std::string* err) {
+  register_builtin_scenarios();
+  ScenarioOptions options;
+  options.runs = 1;
+  options.cache_dir = cache_dir;
+  std::ostringstream out;
+  ScenarioRun run(options, out);
+  ::testing::internal::CaptureStderr();
+  find_scenario(name)->run(run);
+  *err = ::testing::internal::GetCapturedStderr();
+  std::ostringstream tables;
+  write_scenario_json(tables, name, options, run.tables());
+  *json = tables.str();
+  return out.str();
+}
+
+TEST(Figures, CachedRunsPrintTheUncachedTables) {
+  // A ported figure's data points are sweep cells: a cold run fills the
+  // cache, a warm rerun computes nothing, and both print the uncached
+  // run's tables byte for byte.
+  const std::string dir = ::testing::TempDir() + "/topobench_fig09_cache";
+  std::filesystem::remove_all(dir);
+  std::string uncached_json, cold_json, warm_json, err;
+  const std::string uncached =
+      run_figure("fig09_decomposition", "", &uncached_json, &err);
+  EXPECT_EQ(err, "");
+  const std::string cold =
+      run_figure("fig09_decomposition", dir, &cold_json, &err);
+  EXPECT_EQ(err, "cache fig09_decomposition: 0 hits, 15 misses (" + dir +
+                     ")\n");
+  const std::string warm =
+      run_figure("fig09_decomposition", dir, &warm_json, &err);
+  EXPECT_EQ(err, "cache fig09_decomposition: 15 hits, 0 misses (" + dir +
+                     ")\n");
+  EXPECT_FALSE(uncached.empty());
+  EXPECT_EQ(cold, uncached);
+  EXPECT_EQ(warm, uncached);
+  EXPECT_EQ(cold_json, uncached_json);
+  EXPECT_EQ(warm_json, uncached_json);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Figures, FlagsAFigureCannotHonourFailBeforeAnyOutput) {
+  register_builtin_scenarios();
+  const std::string dir = ::testing::TempDir() + "/topobench_fig_rejected";
+  std::filesystem::remove_all(dir);
+  const auto expect_rejected = [&](const std::string& name,
+                                   const ScenarioOptions& options,
+                                   const std::string& flag) {
+    std::ostringstream out;
+    ScenarioRun run(options, out);
+    try {
+      find_scenario(name)->run(run);
+      ADD_FAILURE() << name << " accepted " << flag;
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
+          << e.what();
+    }
+    EXPECT_TRUE(run.tables().empty()) << name;
+    EXPECT_EQ(out.str(), "") << name;
+    EXPECT_FALSE(std::filesystem::exists(dir)) << name;
+  };
+  ScenarioOptions sharded;
+  sharded.runs = 1;
+  sharded.cache_dir = dir;
+  sharded.shard_count = 2;
+  expect_rejected("fig09_decomposition", sharded, "--shard");
+  ScenarioOptions striped;
+  striped.stripe = "range";
+  expect_rejected("fig12_vl2", striped, "--stripe");
+  ScenarioOptions cached;
+  cached.runs = 1;
+  cached.cache_dir = dir;
+  expect_rejected("fig03_aspl_steps", cached, "--cache-dir");
+  expect_rejected("fig10_bound_vs_observed", cached, "--cache-dir");
+  ScenarioOptions solver;
+  solver.solver = "approx";
+  expect_rejected("fig03_aspl_steps", solver, "--solver");
 }
 
 TEST(Sweep, FailureAxisDegradesThroughput) {

@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <map>
-#include <mutex>
 #include <set>
 #include <string>
 #include <utility>
@@ -23,7 +22,6 @@
 #include "search/cost_model.h"
 #include "search/driver.h"
 #include "search/search_space.h"
-#include "topo/random_regular.h"
 #include "traffic/workload.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -311,32 +309,22 @@ TEST(IncastWorkload, SeededStreamsReproduce) {
   }
 }
 
-FullThroughputSearch counting_search(
-    std::map<std::pair<int, std::uint64_t>, int>* builds) {
-  FullThroughputSearch search;
-  search.builder = [builds](int tors, std::uint64_t seed) {
-    static std::mutex builds_mutex;  // the runs build on the shared pool
-    {
-      const std::lock_guard<std::mutex> lock(builds_mutex);
-      ++(*builds)[{tors, seed}];
+TEST(BisectionMemo, EachTorsCountIsProbedAtMostOnce) {
+  // The probing order can revisit a count (a one-count range probes it
+  // as both floor and ceiling); the memo answers without probing again.
+  for (const auto& [min_tors, max_tors] :
+       std::vector<std::pair<int, int>>{{2, 6}, {3, 3}, {1, 9}}) {
+    std::map<int, int> probes;
+    const int found =
+        max_tors_at_full_throughput(min_tors, max_tors, [&](int tors) {
+          ++probes[tors];
+          return tors <= 6;
+        });
+    EXPECT_EQ(found, std::min(max_tors, 6));
+    ASSERT_FALSE(probes.empty());
+    for (const auto& [tors, count] : probes) {
+      EXPECT_EQ(count, 1) << "tors " << tors;
     }
-    return random_regular_topology(10, 5, 3, seed + static_cast<std::uint64_t>(tors));
-  };
-  search.min_tors = 2;
-  search.max_tors = 6;
-  search.threshold = 0.1;  // The tiny RRG always clears this.
-  search.runs = 2;
-  search.options.flow.epsilon = 0.1;
-  return search;
-}
-
-TEST(BisectionMemo, EachTorsSeedPairBuildsAtMostOnce) {
-  std::map<std::pair<int, std::uint64_t>, int> builds;
-  const FullThroughputSearch search = counting_search(&builds);
-  EXPECT_EQ(max_tors_at_full_throughput(search, 17), 6);
-  ASSERT_FALSE(builds.empty());
-  for (const auto& [key, count] : builds) {
-    EXPECT_EQ(count, 1) << "tors " << key.first << " seed " << key.second;
   }
 }
 

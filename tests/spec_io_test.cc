@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 
@@ -562,6 +563,60 @@ TEST(SpecErrors, OutOfRangeValuesAreNamed) {
         << e.what();
   }
   EXPECT_EQ(param_int({{"n", 2147483647.0}}, "n", 40), 2147483647);
+}
+
+TEST(SpecErrors, ProgrammaticOutOfRangeValuesAreNamed) {
+  // Values a spec built in code can hold but no spec file can: each must
+  // fail validate_spec naming its key, exactly as its --dump-spec output
+  // fails to parse.
+  const auto expect_rejected = [](const std::string& key,
+                                  const std::function<void(ScenarioSpec&)>&
+                                      mutate) {
+    ScenarioSpec spec;
+    spec.name = "x";
+    spec.topology = {"random_regular", {}};
+    mutate(spec);
+    try {
+      validate_spec(spec);
+      ADD_FAILURE() << "validate_spec accepted " << key;
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("\"" + key + "\""),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW((void)spec_from_json(spec_to_json(spec)), InvalidArgument)
+        << key;
+  };
+  const auto packet = [](ScenarioSpec& spec) -> sim::SimParams& {
+    spec.packet_sim.enabled = true;
+    return spec.packet_sim.params;
+  };
+  expect_rejected("packet_sim.link_delay_ns",
+                  [&](ScenarioSpec& s) { packet(s).link_delay_ns = 0; });
+  expect_rejected("packet_sim.start_jitter_ns", [&](ScenarioSpec& s) {
+    packet(s).start_jitter_ns = static_cast<sim::SimTime>(-5);
+  });
+  expect_rejected("packet_sim.queue_packets",
+                  [&](ScenarioSpec& s) { packet(s).queue_packets = 2000000; });
+  expect_rejected("packet_sim.packet_bytes",
+                  [&](ScenarioSpec& s) { packet(s).packet_bytes = 70000; });
+  expect_rejected("stride", [](ScenarioSpec& s) {
+    s.traffic = TrafficKind::kStride;
+    s.stride = 2000000000;
+  });
+  expect_rejected("failure.targeted_link_cuts", [](ScenarioSpec& s) {
+    s.failure.targeted.link_cuts = 2000000000;
+  });
+  const auto search = [](ScenarioSpec& spec) -> SearchSpec& {
+    spec.search.enabled = true;
+    return spec.search;
+  };
+  expect_rejected("search.budget",
+                  [&](ScenarioSpec& s) { search(s).budget = 2000000; });
+  expect_rejected("search.restarts",
+                  [&](ScenarioSpec& s) { search(s).restarts = 20000; });
+  expect_rejected("search.cost.port",
+                  [&](ScenarioSpec& s) { search(s).port_cost = 2e9; });
 }
 
 TEST(SpecErrors, DuplicateAxesAndOutOfRangeAxisValuesAreNamed) {
