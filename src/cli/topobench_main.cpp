@@ -87,8 +87,8 @@ void print_usage() {
       "recomputing nothing. See examples/shard_merge_demo.sh.\n"
       "\n"
       "Solver modes (README \"Solver modes\"): --solver approx opts a\n"
-      "sweep into the warm-started, batched-parallel FPTAS with bucketed\n"
-      "dual Dijkstras — typically 1.5-3x faster on RRG-class sweeps at\n"
+      "sweep into the warm-started, batched-parallel FPTAS with a\n"
+      "windowed primal — typically 1.5-3x faster on RRG-class sweeps at\n"
       "the same certified epsilon, deterministic for any --threads, but\n"
       "numerically different from exact mode (approx cells cache under\n"
       "their own addresses; exact cells and goldens are untouched). A\n"

@@ -179,7 +179,7 @@ ThroughputResult max_concurrent_flow(const Graph& graph,
   const double stale_factor = 1.5;            // tree reuse tolerance
 
   DijkstraWorkspace routing_ws;
-  std::vector<DijkstraWorkspace> dual_ws(
+  std::vector<BatchDistanceWorkspace> dual_ws(
       static_cast<std::size_t>(parallel_slots()));
   std::vector<double> dual_terms(commodities.size());
 
@@ -478,44 +478,38 @@ ThroughputResult max_concurrent_flow(const Graph& graph,
       }
     }
 
-    // Dual bound D(l)/alpha(l), valid for any lengths. The per-group
-    // Dijkstras are independent, so they run on the pool; each commodity's
-    // term lands in dual_terms and the sum is taken serially in group
-    // order, keeping the result identical for any thread count. Approx
-    // mode relaxes through Dial buckets while the length spread is still
-    // narrow (run_distances_bucketed falls back to the heap itself once
-    // the spread is too wide to bucket).
+    // Dual bound D(l)/alpha(l), valid for any lengths. The source groups'
+    // distances come kLanes groups per batch, and the batches run on the
+    // pool; each commodity's term lands in dual_terms and the sum is taken
+    // serially in group order, keeping the result identical for any
+    // thread count.
     if (phase % dual_cadence == 0 || phase + 1 == options.max_phases) {
       double d_l = 0.0;
       for (int a = 0; a < arcs.num_arcs; ++a) {
         d_l += length[static_cast<std::size_t>(a)] *
                arcs.capacity[static_cast<std::size_t>(a)];
       }
-      double min_len = kInf;
-      double max_len = 0.0;
-      if (approx) {
-        for (double l : slot_length) {
-          min_len = std::min(min_len, l);
-          max_len = std::max(max_len, l);
+      constexpr int kLanes = BatchDistanceWorkspace::kLanes;
+      const int num_batches = (num_groups + kLanes - 1) / kLanes;
+      parallel_for_slots(num_batches, [&](int slot, int batch) {
+        const int first = batch * kLanes;
+        const int lanes = std::min(kLanes, num_groups - first);
+        NodeId sources[kLanes] = {};
+        const std::vector<int>* dags[kLanes] = {};
+        for (int k = 0; k < lanes; ++k) {
+          sources[k] = grouped.groups[static_cast<std::size_t>(first + k)].src;
+          dags[k] = dag_for(first + k);
         }
-      }
-      parallel_for_slots(num_groups, [&](int slot, int gi) {
-        const auto& group = grouped.groups[static_cast<std::size_t>(gi)];
-        DijkstraWorkspace& ws = dual_ws[static_cast<std::size_t>(slot)];
-        if (approx) {
-          ws.run_distances_bucketed(arcs, slot_length.data(), group.src,
-                                    min_len, max_len, dag_for(gi),
-                                    grouped.dsts.data() + group.begin,
-                                    group.end - group.begin);
-        } else {
-          ws.run_distances(arcs, slot_length.data(), group.src, dag_for(gi),
-                           grouped.dsts.data() + group.begin,
-                           group.end - group.begin);
-        }
-        for (int i = group.begin; i < group.end; ++i) {
-          dual_terms[static_cast<std::size_t>(i)] =
-              grouped.demands[static_cast<std::size_t>(i)] *
-              ws.dist(grouped.dsts[static_cast<std::size_t>(i)]);
+        BatchDistanceWorkspace& ws = dual_ws[static_cast<std::size_t>(slot)];
+        ws.run(arcs, slot_length.data(), sources, lanes,
+               options.restrict_to_shortest_paths ? dags : nullptr);
+        for (int k = 0; k < lanes; ++k) {
+          const auto& group = grouped.groups[static_cast<std::size_t>(first + k)];
+          for (int i = group.begin; i < group.end; ++i) {
+            dual_terms[static_cast<std::size_t>(i)] =
+                grouped.demands[static_cast<std::size_t>(i)] *
+                ws.dist(k, grouped.dsts[static_cast<std::size_t>(i)]);
+          }
         }
       });
       double alpha = 0.0;

@@ -26,14 +26,16 @@
 // Dijkstra serves many commodities, and shortest-path trees are reused
 // until their paths go stale — the two classic practical accelerations.
 //
-// The hot path runs on a flat CSR arc graph with pooled Dijkstra
-// workspaces (src/graph/shortest_path.h): no per-call allocation, searches
-// bounded by each group's destinations, and the dual-bound Dijkstras and
-// the reachability pre-pass distributed over the shared thread pool
-// (src/util/parallel.h). All reductions are ordered, so results are
-// identical for any thread count — and agree with the original reference
-// formulation's lambda/dual bound to 1e-9 on fixed seeds
-// (bench/baseline_solver.cc + perf_microbench guard this; the only
+// The hot path runs on a flat CSR arc graph with pooled workspaces
+// (src/graph/shortest_path.h): no per-call allocation, and routing
+// Dijkstras bounded by each group's destinations. The dual bound needs
+// only distances, so it computes them for 16 source groups per pass with
+// a SIMD label-correcting kernel, bit-identical to one Dijkstra per
+// group; those batches and the reachability pre-pass run on the shared
+// thread pool (src/util/parallel.h). All reductions are ordered, so
+// results are identical for any thread count — and agree with the
+// original reference formulation's lambda/dual bound to 1e-9 on fixed
+// seeds (bench/baseline_solver.cc + perf_microbench guard this; the only
 // intended divergence is the in-loop overflow rescale, which the
 // reference applied per group).
 #ifndef TOPODESIGN_FLOW_CONCURRENT_FLOW_H
@@ -54,8 +56,9 @@ enum class SolverMode {
   /// The approximate fast path: warm-started per-group shortest-path
   /// trees carried across phases, source groups routed in deterministic
   /// batched rounds against a snapshot of the length function (parallel
-  /// across the thread pool, applied in group order), and Dial-bucketed
-  /// dual-bound Dijkstras while the length spread is narrow. The primal
+  /// across the thread pool, applied in group order), and the dual bound
+  /// every second phase (the same batched distance pass as exact
+  /// mode). The primal
   /// is the best window of recent phases (the flow routed since a
   /// power-of-two phase count; see the file comment) instead of the
   /// all-phases average, so it certifies in far fewer phases. Still a

@@ -1,12 +1,27 @@
 #include "graph/shortest_path.h"
 
 #include <bit>
+#include <cstring>
 #include <limits>
 
 namespace topo {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// Two lanes of BatchDistanceWorkspace labels: one SSE2 register on
+// x86-64 (a GCC/Clang vector extension, so the lane loop compiles to
+// packed adds, compares and mins with no target flag; other targets get
+// their own 128-bit vectors).
+using LanePair = double __attribute__((vector_size(16)));
+
+LanePair load_lanes(const double* p) {
+  LanePair x;
+  std::memcpy(&x, p, sizeof x);
+  return x;
+}
+
+void store_lanes(double* p, LanePair x) { std::memcpy(p, &x, sizeof x); }
 
 }  // namespace
 
@@ -63,7 +78,6 @@ void DijkstraWorkspace::begin_run(int num_nodes) {
     dist_.resize(n, kInf);
     parent_.resize(n);
     target_stamp_.resize(n, 0);
-    settled_stamp_.resize(n, 0);
     heap_.resize(n);
     heap_pos_.resize(n);
     touched_.reserve(n);
@@ -72,7 +86,6 @@ void DijkstraWorkspace::begin_run(int num_nodes) {
   touched_.clear();
   if (generation_ == std::numeric_limits<std::uint32_t>::max()) {
     std::fill(target_stamp_.begin(), target_stamp_.end(), 0);
-    std::fill(settled_stamp_.begin(), settled_stamp_.end(), 0);
     generation_ = 0;
   }
   ++generation_;
@@ -103,142 +116,13 @@ void DijkstraWorkspace::run_slots(const ArcGraph& arcs,
                                   const NodeId* targets, int num_targets) {
   require(src >= 0 && src < arcs.num_nodes, "dijkstra source out of range");
   if (dag_hops != nullptr) {
-    run_impl<true, true>(arcs, slot_length, src, dag_hops, targets,
-                         num_targets);
+    run_impl<true>(arcs, slot_length, src, dag_hops, targets, num_targets);
   } else {
-    run_impl<false, true>(arcs, slot_length, src, nullptr, targets,
-                          num_targets);
-  }
-}
-
-void DijkstraWorkspace::run_distances(const ArcGraph& arcs,
-                                      const double* slot_length, NodeId src,
-                                      const std::vector<int>* dag_hops,
-                                      const NodeId* targets, int num_targets) {
-  require(src >= 0 && src < arcs.num_nodes, "dijkstra source out of range");
-  if (dag_hops != nullptr) {
-    run_impl<true, false>(arcs, slot_length, src, dag_hops, targets,
-                          num_targets);
-  } else {
-    run_impl<false, false>(arcs, slot_length, src, nullptr, targets,
-                           num_targets);
-  }
-}
-
-void DijkstraWorkspace::run_distances_bucketed(
-    const ArcGraph& arcs, const double* slot_length, NodeId src,
-    double min_length, double max_length, const std::vector<int>* dag_hops,
-    const NodeId* targets, int num_targets) {
-  // Bucket width = the smallest active length, so every node in the bucket
-  // being drained is already final (any later candidate is at least one
-  // full bucket away) and the circular array only needs to cover one
-  // max-length hop past the scan position. A wide length spread (the
-  // solver's late phases, where lengths span many orders of magnitude)
-  // would need a huge array, so it falls back to the heap.
-  constexpr double kMaxBucketRatio = 2048.0;
-  if (!(min_length > 0.0) || !(max_length >= min_length) ||
-      max_length / min_length > kMaxBucketRatio) {
-    run_distances(arcs, slot_length, src, dag_hops, targets, num_targets);
-    return;
-  }
-  require(src >= 0 && src < arcs.num_nodes, "dijkstra source out of range");
-  const auto num_buckets = static_cast<std::size_t>(max_length / min_length) + 3;
-  if (buckets_.size() < num_buckets) buckets_.resize(num_buckets);
-  if (dag_hops != nullptr) {
-    bucketed_impl<true>(arcs, slot_length, src, min_length, num_buckets,
-                        dag_hops, targets, num_targets);
-  } else {
-    bucketed_impl<false>(arcs, slot_length, src, min_length, num_buckets,
-                         nullptr, targets, num_targets);
+    run_impl<false>(arcs, slot_length, src, nullptr, targets, num_targets);
   }
 }
 
 template <bool kUseDag>
-void DijkstraWorkspace::bucketed_impl(const ArcGraph& arcs,
-                                      const double* slot_length, NodeId src,
-                                      double width, std::size_t num_buckets,
-                                      const std::vector<int>* dag_hops,
-                                      const NodeId* targets, int num_targets) {
-  begin_run(arcs.num_nodes);
-  int pending_targets = 0;
-  for (int t = 0; t < num_targets; ++t) {
-    const auto v = static_cast<std::size_t>(targets[t]);
-    if (target_stamp_[v] != generation_) {
-      target_stamp_[v] = generation_;
-      ++pending_targets;
-    }
-  }
-  const bool bounded = pending_targets > 0;
-
-  const int* const first_out = arcs.first_out.data();
-  const NodeId* const slot_head = arcs.slot_head.data();
-  double* const dist = dist_.data();
-
-  dist[src] = 0.0;
-  touched_.push_back(src);
-  buckets_[0].push_back(src);
-  std::size_t queued = 1;
-  std::uint64_t cur = 0;  // absolute bucket index of the scan position
-  double nd_buf[kRelaxChunk];
-  while (queued > 0) {
-    std::vector<NodeId>& bucket = buckets_[cur % num_buckets];
-    if (bucket.empty()) {
-      ++cur;
-      continue;
-    }
-    // Index loop: a relaxation at the bucket boundary can (by fp
-    // rounding) land back in the bucket being drained and must still be
-    // processed in this sweep.
-    for (std::size_t k = 0; k < bucket.size(); ++k) {
-      const NodeId u = bucket[k];
-      --queued;
-      const auto us = static_cast<std::size_t>(u);
-      if (settled_stamp_[us] == generation_) continue;  // stale duplicate
-      settled_stamp_[us] = generation_;
-      if (bounded && target_stamp_[us] == generation_) {
-        if (--pending_targets == 0) {  // all targets finalized
-          for (std::size_t b = 0; b < num_buckets; ++b) buckets_[b].clear();
-          return;
-        }
-      }
-      const double du = dist[us];
-      int i = first_out[u];
-      const int end = first_out[u + 1];
-      while (i < end) {
-        const int chunk = std::min(end - i, kRelaxChunk);
-        for (int j = 0; j < chunk; ++j) nd_buf[j] = du + slot_length[i + j];
-        for (int j = 0; j < chunk; ++j) {
-          const NodeId v = slot_head[i + j];
-          if constexpr (kUseDag) {
-            if ((*dag_hops)[static_cast<std::size_t>(v)] !=
-                (*dag_hops)[us] + 1) {
-              continue;  // not on a hop-shortest path from the source
-            }
-          }
-          const double nd = nd_buf[j];
-          const auto vs = static_cast<std::size_t>(v);
-          // Settled nodes ignore improvements: only a sub-ulp rounding
-          // artifact at a bucket boundary can produce one, and dropping
-          // it keeps every node single-settled.
-          if (__builtin_expect(nd < dist[vs], 0) &&
-              settled_stamp_[vs] != generation_) {
-            if (dist[vs] == kInf) touched_.push_back(v);
-            dist[vs] = nd;
-            auto b = static_cast<std::uint64_t>(nd / width);
-            if (b < cur) b = cur;  // boundary-rounding guard
-            buckets_[b % num_buckets].push_back(v);
-            ++queued;
-          }
-        }
-        i += chunk;
-      }
-    }
-    bucket.clear();
-    ++cur;
-  }
-}
-
-template <bool kUseDag, bool kRecordParents>
 void DijkstraWorkspace::run_impl(const ArcGraph& arcs,
                                  const double* slot_length, NodeId src,
                                  const std::vector<int>* dag_hops,
@@ -291,7 +175,7 @@ void DijkstraWorkspace::run_impl(const ArcGraph& arcs,
         }
         const double nd = nd_buf[j];
         if (__builtin_expect(nd < dist[v], 0)) {
-          if constexpr (kRecordParents) parent[v] = out_arc[i + j];
+          parent[v] = out_arc[i + j];
           // First touch: +inf sentinel doubles as "not yet queued".
           if (dist[v] == kInf) {
             touched_.push_back(v);
@@ -385,6 +269,94 @@ void DijkstraWorkspace::sift_down(int pos, HeapEntry entry) {
   }
   heap_[static_cast<std::size_t>(pos)] = entry;
   heap_pos_[static_cast<std::size_t>(entry_node(entry))] = pos;
+}
+
+void BatchDistanceWorkspace::run(const ArcGraph& arcs,
+                                 const double* slot_length,
+                                 const NodeId* sources, int num_sources,
+                                 const std::vector<int>* const* dag_hops) {
+  require(num_sources >= 1 && num_sources <= kLanes,
+          "distance batch needs 1 to 16 sources");
+  const auto n = static_cast<std::size_t>(arcs.num_nodes);
+  label_.assign(n * kLanes, kInf);
+  dirty_.assign(n, 0);
+  for (int k = 0; k < num_sources; ++k) {
+    const NodeId src = sources[k];
+    require(src >= 0 && src < arcs.num_nodes,
+            "distance batch source out of range");
+    const auto ss = static_cast<std::size_t>(src);
+    label_[ss * kLanes + static_cast<std::size_t>(k)] = 0.0;
+    dirty_[ss] = 1;
+  }
+  if (dag_hops == nullptr) {
+    sweep<false>(arcs, slot_length);
+    return;
+  }
+  // Unused lanes keep hop -1: their labels stay +inf whatever they admit.
+  hop_.assign(n * kLanes, -1.0);
+  for (int k = 0; k < num_sources; ++k) {
+    const std::vector<int>& hops = *dag_hops[k];
+    for (std::size_t v = 0; v < n; ++v) {
+      hop_[v * kLanes + static_cast<std::size_t>(k)] = hops[v];
+    }
+  }
+  sweep<true>(arcs, slot_length);
+}
+
+template <bool kUseDag>
+void BatchDistanceWorkspace::sweep(const ArcGraph& arcs,
+                                   const double* slot_length) {
+  constexpr int kPairs = kLanes / 2;
+  const int* const first_out = arcs.first_out.data();
+  const NodeId* const slot_head = arcs.slot_head.data();
+  double* const label = label_.data();
+  const double* const hop = hop_.data();
+  char* const dirty = dirty_.data();
+  const LanePair inf = {kInf, kInf};
+  const LanePair one = {1.0, 1.0};
+  char changed = 1;
+  while (changed) {
+    changed = 0;
+    for (NodeId u = 0; u < arcs.num_nodes; ++u) {
+      const auto us = static_cast<std::size_t>(u);
+      if (!dirty[us]) continue;
+      dirty[us] = 0;
+      // u's labels cannot improve during its own scan (an arc back into u
+      // is never shorter than u's label), so they are read once.
+      LanePair from[kPairs];
+      LanePair next_hop[kPairs];
+      for (int p = 0; p < kPairs; ++p) {
+        from[p] = load_lanes(label + us * kLanes + 2 * p);
+        if constexpr (kUseDag) {
+          next_hop[p] = load_lanes(hop + us * kLanes + 2 * p) + one;
+        }
+      }
+      for (int i = first_out[u]; i < first_out[u + 1]; ++i) {
+        const auto vs = static_cast<std::size_t>(slot_head[i]);
+        const LanePair len = {slot_length[i], slot_length[i]};
+        double* const to = label + vs * kLanes;
+        decltype(inf < inf) improved = {};
+        for (int p = 0; p < kPairs; ++p) {
+          LanePair cand = from[p] + len;
+          if constexpr (kUseDag) {
+            // Lane k follows only its own hop-shortest-path DAG.
+            cand = load_lanes(hop + vs * kLanes + 2 * p) == next_hop[p]
+                       ? cand
+                       : inf;
+          }
+          const LanePair old = load_lanes(to + 2 * p);
+          const auto lt = cand < old;
+          improved |= lt;
+          store_lanes(to + 2 * p, lt ? cand : old);
+        }
+        // Branch-free: whether an arc improves a lane is unpredictable,
+        // and a mispredicted branch here cost more than the lanes.
+        const char hit = (improved[0] | improved[1]) != 0;
+        dirty[vs] |= hit;
+        changed |= hit;
+      }
+    }
+  }
 }
 
 void BfsWorkspace::begin_run(int num_nodes, NodeId src) {

@@ -1,11 +1,11 @@
 // Flat (CSR) directed-arc view of a graph plus reusable shortest-path
 // workspaces.
 //
-// Every hot loop in the library bottoms out in either a Dijkstra over
-// exponential arc lengths (the concurrent-flow solver) or a BFS over hops
-// (reachability, ASPL, Dinic level graphs). Both were allocation-bound:
-// a fresh distance vector, parent vector, and heap per call. This module
-// gives them
+// Every hot loop in the library bottoms out in either a shortest-path
+// search over exponential arc lengths (the concurrent-flow solver) or a
+// BFS over hops (reachability, ASPL, Dinic level graphs). Both were
+// allocation-bound: a fresh distance vector, parent vector, and heap per
+// call. This module gives them
 //
 //  * ArcGraph — a compressed-sparse-row arc graph built once per solve:
 //    arc 2e is edge e's u->v direction, arc 2e+1 its reverse, so the
@@ -13,13 +13,18 @@
 //    slice of one flat array instead of a vector-of-vectors, and the slot
 //    order exposes head nodes (and caller-maintained lengths) as
 //    sequential reads in the relaxation loop.
-//  * DijkstraWorkspace — an indexed 4-ary heap with decrease-key, a
-//    sentinel-distance array reset via a touched list (no per-relaxation
-//    stamp checks), and optional target bounding so a search stops once
-//    every requested destination is finalized. Ties between equal
-//    distances are broken toward the smaller node id, matching the pop
-//    order of the classic lazy binary-heap formulation so results are
-//    reproducible across implementations.
+//  * DijkstraWorkspace — single-source shortest-path trees (the solver's
+//    routing): an indexed 4-ary heap with decrease-key, a sentinel-
+//    distance array reset via a touched list (no per-relaxation stamp
+//    checks), and optional target bounding so a search stops once every
+//    requested destination is finalized. Ties between equal distances are
+//    broken toward the smaller node id, matching the pop order of the
+//    classic lazy binary-heap formulation so results are reproducible
+//    across implementations.
+//  * BatchDistanceWorkspace — distances only, from up to 16 sources in
+//    one pass (the solver's dual bound): node-major lane labels relaxed
+//    with packed SIMD adds and mins by a Gauss–Seidel label-correcting
+//    sweep, bit-identical to one Dijkstra per source.
 //  * BfsWorkspace — generation-stamped hop distances with a reusable
 //    frontier queue.
 #ifndef TOPODESIGN_GRAPH_SHORTEST_PATH_H
@@ -93,33 +98,6 @@ class DijkstraWorkspace {
                  const std::vector<int>* dag_hops = nullptr,
                  const NodeId* targets = nullptr, int num_targets = 0);
 
-  /// As run_slots, but records no parent arcs: cheaper, for callers that
-  /// need only distances (e.g. the solver's dual bound). Distances are
-  /// identical to run_slots — they are independent of tie handling and of
-  /// parent bookkeeping. parent_arc()/extract_path() are meaningless
-  /// after this variant.
-  void run_distances(const ArcGraph& arcs, const double* slot_length,
-                     NodeId src, const std::vector<int>* dag_hops = nullptr,
-                     const NodeId* targets = nullptr, int num_targets = 0);
-
-  /// As run_distances, but relaxes through a Dial-style circular bucket
-  /// queue of width `min_length` instead of the heap — O(1) decrease-key
-  /// and pop while the arc-length distribution is narrow (the solver's
-  /// early phases, where every length is still ~1/capacity). The caller
-  /// passes a lower/upper bound on the active slot lengths; when the
-  /// ratio is too wide for a compact bucket array (or min_length is not a
-  /// positive finite bound) the call falls back to the heap run_distances
-  /// transparently. Distances agree with run_distances up to bucket-
-  /// boundary rounding (settled nodes ignore late sub-ulp improvements),
-  /// and the run is sequential, so results are deterministic for any
-  /// thread count.
-  void run_distances_bucketed(const ArcGraph& arcs, const double* slot_length,
-                              NodeId src, double min_length,
-                              double max_length,
-                              const std::vector<int>* dag_hops = nullptr,
-                              const NodeId* targets = nullptr,
-                              int num_targets = 0);
-
   /// Convenience overload taking lengths addressed by arc id; mirrors
   /// them into a scratch slot array (O(num_arcs)) and calls run_slots.
   void run(const ArcGraph& arcs, const std::vector<double>& length, NodeId src,
@@ -163,15 +141,10 @@ class DijkstraWorkspace {
     return static_cast<NodeId>(static_cast<std::uint64_t>(e));
   }
 
-  template <bool kUseDag, bool kRecordParents>
+  template <bool kUseDag>
   void run_impl(const ArcGraph& arcs, const double* slot_length, NodeId src,
                 const std::vector<int>* dag_hops, const NodeId* targets,
                 int num_targets);
-  template <bool kUseDag>
-  void bucketed_impl(const ArcGraph& arcs, const double* slot_length,
-                     NodeId src, double width, std::size_t num_buckets,
-                     const std::vector<int>* dag_hops, const NodeId* targets,
-                     int num_targets);
   /// Resets the previous run's touched distances and grows buffers.
   void begin_run(int num_nodes);
   void heap_insert_or_decrease(NodeId v, double key);
@@ -186,10 +159,54 @@ class DijkstraWorkspace {
   std::vector<HeapEntry> heap_;  // heap slots -> packed (dist, node)
   std::vector<int> heap_pos_;    // node -> heap slot while queued
   std::vector<double> scratch_slot_length_;  // for the per-arc overload
-  std::vector<std::vector<NodeId>> buckets_;  // circular Dial queue
-  std::vector<std::uint32_t> settled_stamp_;  // bucket runs: node finalized
   int heap_size_ = 0;
   std::uint32_t generation_ = 0;
+};
+
+/// Reusable state for distances from up to kLanes sources in one pass,
+/// for callers that need distances but no trees (the solver's dual
+/// bound). Labels are node-major — node v's kLanes lane distances are
+/// contiguous — so relaxing one arc updates every lane with packed adds
+/// and mins. Nodes are swept in id order, and a node is rescanned only
+/// after one of its lanes improved (Gauss–Seidel label correcting); a
+/// sweep that improves nothing ends the run.
+///
+/// Distances are bit-identical to DijkstraWorkspace::run_slots from each
+/// source. Lengths are positive and round-to-nearest addition is
+/// monotone, so every label-correcting order converges to the same fixed
+/// point: the minimum over paths of the left-to-right rounded path sum,
+/// which is exactly the value Dijkstra settles.
+///
+/// Not thread-safe; use one workspace per thread.
+class BatchDistanceWorkspace {
+ public:
+  /// Sources per pass: 16 lanes are eight SSE2 registers of doubles, so
+  /// a node's labels stay in registers while its arcs are relaxed.
+  static constexpr int kLanes = 16;
+
+  /// Distances from sources[0, num_sources), 1 <= num_sources <= kLanes,
+  /// over `arcs` with lengths addressed by CSR slot (as run_slots). When
+  /// `dag_hops` is non-null it holds one hop map per source, and lane k
+  /// relaxes only arcs (u, v) with (*dag_hops[k])[v] ==
+  /// (*dag_hops[k])[u] + 1, as run_slots does with that hop map.
+  void run(const ArcGraph& arcs, const double* slot_length,
+           const NodeId* sources, int num_sources,
+           const std::vector<int>* const* dag_hops = nullptr);
+
+  /// Distance of `v` from sources[lane] of the last run; +inf when
+  /// unreached.
+  [[nodiscard]] double dist(int lane, NodeId v) const {
+    return label_[static_cast<std::size_t>(v) * kLanes +
+                  static_cast<std::size_t>(lane)];
+  }
+
+ private:
+  template <bool kUseDag>
+  void sweep(const ArcGraph& arcs, const double* slot_length);
+
+  std::vector<double> label_;  // node-major: label_[v * kLanes + lane]
+  std::vector<double> hop_;    // node-major hop maps (hop-DAG runs only)
+  std::vector<char> dirty_;    // node improved since its last scan
 };
 
 /// Reusable BFS state: generation-stamped hop distances and a frontier

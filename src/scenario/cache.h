@@ -40,9 +40,11 @@ inline constexpr const char* kSolverVersionTag = "fptas-csr-v2";
 /// cells only (SolverMode::kApprox) — the exact-mode population is never
 /// perturbed by approx numerics changes, and bumping this tag on a
 /// warm-tree/batching/bucketing change, or on a change to how the primal
-/// is reported (v2: the best window of recent phases), invalidates
-/// exactly the approx cells.
-inline constexpr const char* kSolverApproxVersionTag = "fptas-approx-v2";
+/// is reported, invalidates exactly the approx cells. v2: the best
+/// window of recent phases. v3: the dual bound from exact distances (the
+/// batched kernel) instead of Dial buckets, whose settled nodes could
+/// keep a label a rounding above the true distance.
+inline constexpr const char* kSolverApproxVersionTag = "fptas-approx-v3";
 
 /// Simulator version tag, mixed into the key of packet-sim cells only —
 /// bumping it on a transport/queueing numerics change invalidates packet

@@ -302,6 +302,9 @@ int orchestrate_main(const std::string& self_exe, int argc,
     require(config.worker_timeout > 0, "--worker-timeout must be positive");
     config.backoff_ms = flags.get_int("backoff", 500);
     require(config.backoff_ms >= 0, "--backoff must be >= 0");
+    // Forwarded verbatim below; checked here so every worker need not
+    // fail on it.
+    (void)epsilon_flag(flags);
 
     // Chaos plumbing: a TOPOBENCH_FAULT in our environment is meant for
     // the supervised workers, never the supervisor — an armed fault in

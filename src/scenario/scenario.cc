@@ -139,6 +139,13 @@ void parse_shard_value(const std::string& value, int* shard_index,
   *shard_count = count;
 }
 
+double epsilon_flag(const Flags& flags) {
+  const double epsilon = flags.get_double("eps", 0.08);
+  require(epsilon > 0.0 && epsilon < 1.0,
+          "--eps must lie in (0, 1), got: " + flags.get_string("eps", ""));
+  return epsilon;
+}
+
 void apply_threads_flag(int threads) {
   if (threads <= 0) return;
   // Exported for child processes the run may spawn; the local pool is
@@ -165,7 +172,7 @@ ScenarioOptions parse_scenario_options(int argc, const char* const* argv) {
           "--full and --smoke are mutually exclusive");
   ScenarioOptions options;
   options.runs = flags.get_int("runs", 0);
-  options.epsilon = flags.get_double("eps", 0.08);
+  options.epsilon = epsilon_flag(flags);
   options.seed = flags.get_uint64("seed", 1);
   options.csv = flags.get_bool("csv");
   options.full = flags.get_bool("full");
@@ -234,8 +241,9 @@ int scenario_main(const std::string& name, int argc,
   try {
     return run_scenario(name, options, std::cout);
   } catch (const InvalidArgument& e) {
-    // Flag values validated downstream (e.g. --eps outside (0, 1) is
-    // rejected inside the solver) surface as a clean error, not an abort.
+    // Flag values validated downstream (e.g. a flag a figure cannot
+    // honour, or a spec field out of range) surface as a clean error, not
+    // an abort.
     std::cerr << e.what() << "\n";
     return kExitUsage;
   } catch (const std::exception& e) {

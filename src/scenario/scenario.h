@@ -23,6 +23,10 @@
 
 #include "util/table.h"
 
+namespace topo {
+class Flags;
+}  // namespace topo
+
 namespace topo::scenario {
 
 /// Options shared by every scenario run, resolved from CLI flags.
@@ -152,6 +156,12 @@ void write_scenario_json(std::ostream& os, const std::string& name,
 /// flag on any malformation. Shared by every CLI verb that shards.
 void parse_shard_value(const std::string& value, int* shard_index,
                        int* shard_count);
+
+/// Reads --eps (default 0.08), the solver's certified-gap target, and
+/// raises InvalidArgument naming the flag unless it lies in (0, 1) (NaN
+/// included), so a bad value fails before any output. Shared by every
+/// CLI verb that takes --eps.
+[[nodiscard]] double epsilon_flag(const Flags& flags);
 
 /// Applies --threads N: sizes the shared thread pool and exports
 /// TOPOBENCH_THREADS=N for child processes. N <= 0 (flag absent) does

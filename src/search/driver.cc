@@ -320,7 +320,7 @@ int search_main(int argc, const char* const* argv) {
 
     SearchDriverOptions options;
     options.runs = flags.get_int("runs", 3);
-    options.epsilon = flags.get_double("eps", 0.08);
+    options.epsilon = scenario::epsilon_flag(flags);
     options.master_seed = flags.get_uint64("seed", 1);
     options.cache_dir = flags.get_string("cache-dir", "");
     if (const std::string shard = flags.get_string("shard", "");

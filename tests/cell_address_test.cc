@@ -68,29 +68,29 @@ struct PinnedSweep {
 // cached cell it touches): the failure messages print the new digests.
 const PinnedSweep kPinned[] = {
     {"sweep_fat_tree_link_failures", 12, "f3c355a71995959b",
-     "95b389787c12bf88", "15fca136511eb942"},
+     "95b389787c12bf88", "a174ba9e0d5b4674"},
     {"sweep_fat_tree_targeted_cuts", 15, "8e5c463e8b09822c",
-     "9c68f61a36f919dc", "b1e61b4dad1a6ef8"},
+     "9c68f61a36f919dc", "eda493bde17835d9"},
     {"sweep_fct_load", 3, "628f6446e2bc905b",
-     "bf9f790dd93c5c6f", "0409647b02bc2084"},
+     "bf9f790dd93c5c6f", "a4e3a72313f8097a"},
     {"sweep_packet_vs_flow", 1, "0275b454ba813747",
-     "be470137448ff86d", "402a7dc3337abe24"},
+     "be470137448ff86d", "55903b12123ce954"},
     {"sweep_rrg_capacity_degradation", 15, "5a28ba86b8e132e1",
-     "7c6eaa1d04c4cd29", "ab476b23b0dd1ae9"},
+     "7c6eaa1d04c4cd29", "1211376794aed74b"},
     {"sweep_rrg_correlated_failures", 12, "701e079322f2df33",
-     "99bbd5e9f3c1f638", "13a697ed33bacf5e"},
+     "99bbd5e9f3c1f638", "8592bf7016b31588"},
     {"sweep_rrg_link_failures", 15, "bedd3b56c3d3fcdb",
-     "b122e6b3a1f240b4", "0909ae008d01682a"},
+     "b122e6b3a1f240b4", "82ebed2cbcfc3836"},
     {"sweep_rrg_switch_failures", 15, "774851b990967ae6",
-     "b921e04d1f2cb7f9", "52be04a262ec9b45"},
+     "b921e04d1f2cb7f9", "b6875359ffc9f115"},
     {"sweep_small_world_shortcuts", 9, "049f9c4c5d031a9a",
-     "87bbab59626c3dfb", "f1f453fd28c85e71"},
+     "87bbab59626c3dfb", "17645c7d02011821"},
     {"sweep_two_type_cross_failures", 18, "d57866cbe4604ddf",
-     "cf865a6926ee2990", "9983659c59aadff2"},
+     "cf865a6926ee2990", "38c9f9a3b831bf34"},
     {"sweep_vl2_chunky", 15, "26d8841baa48cb8a",
-     "1c0bf4758fbd3588", "596a10dd36731bbf"},
+     "1c0bf4758fbd3588", "d907e22434bd64d4"},
     {"sweep_vl2_class_failures", 12, "2474391208f83b57",
-     "aff9a836d43abe03", "f063cf03dd2b5251"},
+     "aff9a836d43abe03", "e0211b98ffe220b1"},
 };
 
 TEST(CellAddresses, EveryRegisteredSweepKeepsItsCellKeys) {

@@ -2,7 +2,13 @@
 // against the exact LP and the paper's throughput-decomposition identity.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <string>
+
 #include "bounds/bounds.h"
+#include "core/failure.h"
 #include "flow/concurrent_flow.h"
 #include "lp/mcf_lp.h"
 #include "topo/random_regular.h"
@@ -167,6 +173,63 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(12, 24, 40),
                        ::testing::Values(3, 5, 8),
                        ::testing::Values(11ULL, 12ULL)));
+
+// Bit pins: the IEEE-754 bit patterns of lambda and dual_bound, and the
+// phase count, of four seeded solves. The golden tables compare at 1e-9,
+// so a change that moves a certificate by a rounding passes them; these
+// fail on any moved bit. Regenerate only for an intended numerics change
+// (which also bumps kSolverVersionTag or kSolverApproxVersionTag); the
+// failure messages print the new values.
+struct BitPin {
+  const char* name;
+  const char* lambda;
+  const char* dual_bound;
+  int phases;
+};
+
+const BitPin kBitPins[] = {
+    {"exact_rrg", "3febeb9a020a32ff", "3fee56346fd99b0c", 219},
+    {"exact_shortest_paths", "3fd542090bc27cd5", "3fd710cda403b03f", 94},
+    {"exact_link_failures", "3fe64e7b54166c61", "3fe83c460d40f3fb", 191},
+    {"approx_rrg", "3fec000000000000", "3fee6b7a0cd8d6c2", 106},
+};
+
+std::string bits_hex(double x) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(x)));
+  return buf;
+}
+
+// RRG(40, 12, 8): 40 source groups, so the dual pass runs full and
+// partial distance batches.
+ThroughputResult pinned_solve(const std::string& name) {
+  BuiltTopology topo = random_regular_topology(40, 12, 8, 5);
+  if (name == "exact_link_failures") {
+    FailureSpec spec;
+    spec.uniform.link_fraction = 0.15;
+    topo = apply_failures(topo, spec, 9);
+  }
+  Rng rng(13);
+  const std::vector<Commodity> commodities = aggregate_to_commodities(
+      random_permutation_traffic(topo.servers, rng), topo.servers);
+  FlowOptions options;
+  options.restrict_to_shortest_paths = name == "exact_shortest_paths";
+  if (name == "approx_rrg") options.mode = SolverMode::kApprox;
+  return max_concurrent_flow(topo.graph, commodities, options);
+}
+
+TEST(SolverBits, CertificatesKeepTheirBits) {
+  for (const BitPin& pin : kBitPins) {
+    SCOPED_TRACE(pin.name);
+    const ThroughputResult r = pinned_solve(pin.name);
+    ASSERT_TRUE(r.feasible);
+    EXPECT_EQ(bits_hex(r.lambda), pin.lambda) << "lambda " << r.lambda;
+    EXPECT_EQ(bits_hex(r.dual_bound), pin.dual_bound)
+        << "dual_bound " << r.dual_bound;
+    EXPECT_EQ(r.phases, pin.phases);
+  }
+}
 
 }  // namespace
 }  // namespace topo

@@ -356,6 +356,24 @@ TEST(ScenarioOptionsFlags, RejectsMalformedOrCachelessShard) {
                InvalidArgument);
 }
 
+TEST(ScenarioOptionsFlags, RejectsEpsilonOutsideTheUnitInterval) {
+  const auto parse = [](std::vector<const char*> argv) {
+    return parse_scenario_options(static_cast<int>(argv.size()), argv.data());
+  };
+  for (const char* eps : {"0", "1", "-0.1", "nan"}) {
+    SCOPED_TRACE(eps);
+    try {
+      (void)parse({"p", "--eps", eps});
+      ADD_FAILURE() << "accepted --eps " << eps;
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("--eps"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_DOUBLE_EQ(parse({"p", "--eps", "0.05"}).epsilon, 0.05);
+  EXPECT_DOUBLE_EQ(parse({"p"}).epsilon, 0.08);
+}
+
 TEST(ScenarioRunContext, RunsDefaultRespectsModeAndOverride) {
   ScenarioOptions options;
   std::ostringstream stream;

@@ -1,12 +1,18 @@
-// Tests for the CSR arc graph and the pooled Dijkstra/BFS workspaces.
+// Tests for the CSR arc graph and the pooled Dijkstra, batched-distance
+// and BFS workspaces.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <limits>
 #include <queue>
+#include <string>
 
 #include "graph/algorithms.h"
 #include "graph/shortest_path.h"
 #include "topo/random_regular.h"
+#include "topo/small_world.h"
+#include "topo/structured.h"
 #include "util/rng.h"
 
 namespace topo {
@@ -154,6 +160,144 @@ TEST(DijkstraWorkspace, DagRestrictionLimitsArcs) {
   const std::vector<int> hops1 = bfs_distances(g, 1);
   ws.run(arcs, length, 1, &hops1);
   EXPECT_DOUBLE_EQ(ws.dist(2), 2.0);  // via 0 or 3, both hop-increasing
+}
+
+// Batched distances must equal one Dijkstra per source bit for bit, not
+// just to a tolerance: the solver's dual bound is summed from them.
+// Returns the number of (lane, node) labels that differ.
+int batch_mismatches(const Graph& g, const std::vector<double>& length,
+                     int lanes, bool use_dag) {
+  const ArcGraph arcs(g);
+  std::vector<double> slot_length;
+  fill_slot_lengths(arcs, length, slot_length);
+  std::vector<NodeId> sources;
+  std::vector<std::vector<int>> hops;
+  for (int k = 0; k < lanes; ++k) {
+    sources.push_back(static_cast<NodeId>(
+        static_cast<long>(k) * arcs.num_nodes / lanes));
+    hops.push_back(bfs_distances(g, sources.back()));
+  }
+  std::vector<const std::vector<int>*> dags;
+  for (const auto& h : hops) dags.push_back(&h);
+  BatchDistanceWorkspace batch;
+  batch.run(arcs, slot_length.data(), sources.data(), lanes,
+            use_dag ? dags.data() : nullptr);
+  DijkstraWorkspace ws;
+  int mismatches = 0;
+  for (int k = 0; k < lanes; ++k) {
+    ws.run_slots(arcs, slot_length.data(), sources[static_cast<std::size_t>(k)],
+                 use_dag ? dags[static_cast<std::size_t>(k)] : nullptr);
+    for (NodeId v = 0; v < arcs.num_nodes; ++v) {
+      const double got = batch.dist(k, v);
+      const double want = ws.dist(v);
+      if (std::memcmp(&got, &want, sizeof got) != 0) {
+        if (mismatches++ == 0) {
+          ADD_FAILURE() << "lane " << k << " node " << v << ": batch " << got
+                        << " vs dijkstra " << want;
+        }
+      }
+    }
+  }
+  return mismatches;
+}
+
+// Lengths log-uniform over [1e-150, 1e200], the solver's whole range
+// (its overflow guard rescales at 1e200), or all equal, so ties abound.
+std::vector<double> test_lengths(int num_arcs, bool equal, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> length(static_cast<std::size_t>(num_arcs));
+  for (double& l : length) {
+    l = equal ? 0.1
+              : std::exp(rng.uniform(std::log(1e-150), std::log(1e200)));
+  }
+  return length;
+}
+
+Graph parallel_arc_multigraph() {
+  // A ring with every third edge doubled (different capacity, hence a
+  // different arc id and length) plus a few doubled chords.
+  Graph g(24);
+  for (NodeId v = 0; v < 24; ++v) {
+    g.add_edge(v, (v + 1) % 24, 1.0);
+    if (v % 3 == 0) g.add_edge(v, (v + 1) % 24, 2.0);
+  }
+  for (NodeId v = 0; v < 24; v += 5) {
+    g.add_edge(v, (v + 11) % 24, 1.0);
+    g.add_edge(v, (v + 11) % 24, 1.0);
+  }
+  return g;
+}
+
+Graph two_components() {
+  // An RRG on nodes 0..29 and a separate ring on 30..39: lanes starting
+  // in one component never reach the other.
+  const Graph rrg = random_regular_graph(30, 4, 17);
+  Graph g(40);
+  for (EdgeId e = 0; e < rrg.num_edges(); ++e) {
+    g.add_edge(rrg.edge(e).u, rrg.edge(e).v, 1.0);
+  }
+  for (NodeId v = 30; v < 40; ++v) g.add_edge(v, v == 39 ? 30 : v + 1, 1.0);
+  return g;
+}
+
+TEST(BatchDistanceWorkspace, BitEqualToDijkstraPerSource) {
+  const std::vector<std::pair<std::string, Graph>> graphs = {
+      {"rrg", random_regular_graph(64, 6, 11)},
+      {"small_world", small_world_topology(48, 4, 1, 1, 3).graph},
+      {"torus", torus2d_topology(7, 9, 1).graph},
+      {"multigraph", parallel_arc_multigraph()},
+      {"two_components", two_components()},
+  };
+  std::uint64_t seed = 100;
+  for (const auto& [name, g] : graphs) {
+    for (const bool equal : {false, true}) {
+      for (const int lanes : {1, 5, 16}) {
+        for (const bool use_dag : {false, true}) {
+          SCOPED_TRACE(name + (equal ? " equal" : " log-uniform") +
+                       " lanes " + std::to_string(lanes) +
+                       (use_dag ? " dag" : ""));
+          const auto length = test_lengths(2 * g.num_edges(), equal, ++seed);
+          EXPECT_EQ(batch_mismatches(g, length, lanes, use_dag), 0);
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchDistanceWorkspace, UnreachedNodesReadInfinity) {
+  const Graph g = two_components();
+  const ArcGraph arcs(g);
+  std::vector<double> slot_length(static_cast<std::size_t>(arcs.num_arcs),
+                                  1.0);
+  const NodeId sources[] = {0, 35};
+  BatchDistanceWorkspace batch;
+  batch.run(arcs, slot_length.data(), sources, 2);
+  EXPECT_EQ(batch.dist(0, 0), 0.0);
+  EXPECT_EQ(batch.dist(0, 35), kInf);
+  EXPECT_EQ(batch.dist(1, 0), kInf);
+  EXPECT_EQ(batch.dist(1, 30), 5.0);
+  // Reuse on a smaller graph: no label of the last run leaks.
+  Graph small(3);
+  small.add_edge(0, 1, 1.0);
+  const ArcGraph small_arcs(small);
+  const std::vector<double> small_len(2, 4.0);
+  const NodeId src[] = {0};
+  batch.run(small_arcs, small_len.data(), src, 1);
+  EXPECT_EQ(batch.dist(0, 1), 4.0);
+  EXPECT_EQ(batch.dist(0, 2), kInf);
+}
+
+TEST(BatchDistanceWorkspace, RejectsEmptyOrOversizedBatches) {
+  const Graph g = random_regular_graph(20, 4, 1);
+  const ArcGraph arcs(g);
+  const std::vector<double> len(static_cast<std::size_t>(arcs.num_arcs), 1.0);
+  const std::vector<NodeId> sources(BatchDistanceWorkspace::kLanes + 1, 0);
+  BatchDistanceWorkspace batch;
+  EXPECT_THROW(batch.run(arcs, len.data(), sources.data(), 0),
+               InvalidArgument);
+  EXPECT_THROW(batch.run(arcs, len.data(), sources.data(),
+                         BatchDistanceWorkspace::kLanes + 1),
+               InvalidArgument);
 }
 
 TEST(BfsWorkspace, MatchesBfsDistancesAndReuses) {

@@ -346,5 +346,25 @@ TEST(SolverModes, CliApproxOutputIdenticalAcrossThreadCounts) {
   EXPECT_NE(t1, exact);
 }
 
+// An --eps the solver would reject fails in flag parsing, before a
+// figure prints anything: Fig 12's bisection used to read the solver's
+// rejection as a failed probe and print a wrong panel first.
+TEST(SolverModes, CliRejectsOutOfRangeEpsBeforeAnyOutput) {
+  const std::string dir = fresh_dir("cli_eps");
+  for (const char* scenario : {"fig12_vl2", "fig03_aspl_steps"}) {
+    SCOPED_TRACE(scenario);
+    SpawnOptions options;
+    options.log_path = dir + "/" + scenario + ".log";
+    Subprocess child = Subprocess::spawn(
+        {TOPOBENCH_CLI_PATH, scenario, "--runs", "1", "--eps", "0"}, options);
+    const Subprocess::Status status = child.wait();
+    EXPECT_EQ(status.state, Subprocess::Status::State::kExited);
+    EXPECT_EQ(status.exit_code, 2);
+    // stdout and stderr share the log: the error line is all there is.
+    EXPECT_EQ(read_file(options.log_path),
+              "--eps must lie in (0, 1), got: 0\n");
+  }
+}
+
 }  // namespace
 }  // namespace topo::scenario
